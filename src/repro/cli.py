@@ -183,18 +183,18 @@ def _make_store(args: argparse.Namespace) -> Optional[ResultStore]:
 def _engine_kernel_kwargs(args: argparse.Namespace) -> dict[str, str]:
     """Extra engine kwargs for ``--kernel`` / ``--loop``.
 
-    The default 'python' kernel and loop contribute nothing so default jobs
-    keep their historical content-addressed store keys; 'vector' and
-    'compiled' are validated here (usage error, exit 2) instead of crashing
-    inside a worker.
+    The default 'python' kernel and 'fast' loop contribute nothing so
+    default jobs keep their historical content-addressed store keys;
+    'vector' and 'compiled' are validated here (usage error, exit 2)
+    instead of crashing inside a worker.
     """
     kwargs: dict[str, str] = {}
     if args.kernel != "python":
         if args.kernel == "vector" and not HAVE_NUMPY:
             raise ValueError("kernel 'vector' requires numpy, which is not installed")
         kwargs["kernel"] = args.kernel
-    loop = getattr(args, "loop", "python")
-    if loop != "python":
+    loop = getattr(args, "loop", "fast")
+    if loop != "fast":
         if loop == "compiled" and not fastloop_is_compiled():
             raise ValueError(
                 "loop 'compiled' requires the mypyc-built fastloop extension "
@@ -483,6 +483,15 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
             "instruments the current process, and with --jobs N the timed "
             "engine passes run inside worker processes it cannot see"
         )
+    if (args.profile is not None or args.profile_out is not None) and args.baseline is not None:
+        # Usage error (exit 2 via main): cProfile distorts the walls the
+        # baseline gates compare, so a profiled run would fail them
+        # spuriously.
+        raise ValueError(
+            "--profile/--profile-out cannot be combined with --baseline: "
+            "cProfile distorts the timings the baseline gates compare; "
+            "profile and gate in separate runs"
+        )
     basket = bench_mod.quick_basket() if args.quick else bench_mod.default_basket()
     scenarios = _split_names(args.scenarios, basket["scenarios"])
     platforms = _split_names(args.platforms, basket["platforms"])
@@ -693,9 +702,9 @@ def _loop_list(values: Optional[Sequence[str]]) -> list[str]:
 
     Mirrors :func:`_kernel_list`: an explicit ``compiled`` without the
     mypyc extension is a usage error (exit 2), while ``all`` skips it with
-    a visible notice and still cross-checks python vs fast.
+    a visible notice and still runs fast.
     """
-    names = _split_names(values, ["python"])
+    names = _split_names(values, ["fast"])
     expanded_all = "all" in names
     loops = list(ENGINE_LOOPS) if expanded_all else names
     for loop in loops:
@@ -739,8 +748,8 @@ def _resource_model_list(values: Optional[Sequence[str]]) -> list[str]:
 def _fault_list(values: Optional[Sequence[str]]) -> list[str]:
     """Expand the fuzz ``--faults`` chaos axis ('all' = every fault kind).
 
-    Every fault kind is always runnable (pure Python on the default event
-    loop), so this only validates names; unknown names are usage errors
+    Every fault kind is always runnable (pure Python, on every event
+    loop and mode), so this only validates names; unknown names are usage errors
     (exit 2) with the registry in the message.  The default is *no*
     injection — chaos runs are opt-in.
     """
@@ -835,7 +844,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         raise ValueError("--seeds must be positive")
     spec = _generator_spec(args)
     kernels = kernels or ["python"]
-    loops = loops or ["python"]
+    loops = loops or ["fast"]
     resource_models = resource_models or ["pe_fraction"]
     faults = faults or []
     if "kv_batch" in resource_models and spec.resource_model == "pe_fraction":
@@ -1148,11 +1157,11 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-for-bit identical to 'python' (default: python)",
     )
     grid_parser.add_argument(
-        "--loop", choices=ENGINE_LOOPS, default="python",
+        "--loop", choices=ENGINE_LOOPS, default="fast",
         help="event loop of the simulation engine; 'fast' is the "
-        "struct-of-arrays rewrite, 'compiled' its mypyc build (requires "
-        "the compiled extension), both bit-for-bit identical to 'python' "
-        "(default: python)",
+        "struct-of-arrays loop, 'compiled' its mypyc build (requires "
+        "the compiled extension), bit-for-bit identical to 'fast' "
+        "(default: fast)",
     )
     grid_parser.add_argument(
         "--resource-model", choices=resource_model_names(), default="pe_fraction",
@@ -1272,7 +1281,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None, metavar="PATH",
         help="dump a cProfile capture of the optimized passes (fixed "
         "default path bench_engine.prof when no PATH is given; requires "
-        "--jobs 1)",
+        "--jobs 1 and no --baseline)",
     )
     bench_engine_parser.add_argument(
         "--profile-out", type=Path, default=None, metavar="PATH",
@@ -1343,8 +1352,8 @@ def build_parser() -> argparse.ArgumentParser:
         "default: python)",
     )
     generate_parser.add_argument(
-        "--loop", choices=ENGINE_LOOPS, default="python",
-        help="event loop for --run (see 'repro grid --loop'; default: python)",
+        "--loop", choices=ENGINE_LOOPS, default="fast",
+        help="event loop for --run (see 'repro grid --loop'; default: fast)",
     )
     _add_execution_options(generate_parser)
     generate_parser.set_defaults(func=_cmd_generate)
@@ -1371,11 +1380,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--loops", action="append", metavar="NAMES",
-        help="event loops to cross-check per scheduler: python, fast, "
-        "compiled ('all' or comma-separated; the first is the canonical "
-        "run, any divergence on the others is a loop_parity violation; "
-        "'all' skips 'compiled' with a notice when the extension is not "
-        "built; default: python)",
+        help="event loops to cross-check per scheduler: fast, compiled "
+        "('all' or comma-separated; the first is the canonical run, any "
+        "divergence on the others is a loop_parity violation; 'all' skips "
+        "'compiled' with a notice when the extension is not built; "
+        "default: fast)",
     )
     fuzz_parser.add_argument(
         "--resource-models", action="append", metavar="NAMES",

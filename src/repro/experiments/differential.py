@@ -39,6 +39,7 @@ from repro.hardware import CostTable, Platform
 from repro.schedulers import make_scheduler, scheduler_names
 from repro.sim import SimulationEngine, SimulationResult, Tracer, Violation, audit_trace
 from repro.sim.faults import FAULT_KINDS, FaultSpec, sample_fault_plan
+from repro.sim.loops import ENGINE_LOOPS
 from repro.sim.resource_models import RESOURCE_MODEL_NAMES
 from repro.sim.tracer import TraceRecord
 from repro.workloads.generator import GeneratorSpec
@@ -66,13 +67,13 @@ KERNEL_AXIS_NAMES = tuple(KERNEL_AXIS)
 
 #: Event-loop axis of the differential harness: the
 #: :data:`~repro.sim.loops.ENGINE_LOOPS` names, passed straight through as
-#: ``SimulationEngine(loop=...)``.  ``"fast"`` is the struct-of-arrays
-#: rewrite, ``"compiled"`` the mypyc build of it (requires the compiled
-#: extension).  All loops must produce bit-for-bit identical results and
-#: traces; ``run_differential(loops=...)`` re-runs every scheduler on each
-#: extra loop and reports any divergence as a ``loop_parity`` metamorphic
-#: failure.
-LOOP_AXIS_NAMES = ("python", "fast", "compiled")
+#: ``SimulationEngine(loop=...)`` on fast-mode runs.  ``"fast"`` is the
+#: struct-of-arrays loop, ``"compiled"`` the mypyc build of it (requires
+#: the compiled extension).  All loops must produce bit-for-bit identical
+#: results and traces; ``run_differential(loops=...)`` re-runs every
+#: scheduler on each extra loop and reports any divergence as a
+#: ``loop_parity`` metamorphic failure.
+LOOP_AXIS_NAMES = ENGINE_LOOPS
 
 #: Execution-resource-model axis: the
 #: :data:`~repro.sim.resource_models.RESOURCE_MODEL_NAMES`, passed through
@@ -124,7 +125,7 @@ class DifferentialReport:
     generator: Optional[GeneratorSpec] = None
     generator_index: int = 0
     kernels: tuple[str, ...] = ("python",)
-    loops: tuple[str, ...] = ("python",)
+    loops: tuple[str, ...] = ("fast",)
     resource_models: tuple[str, ...] = ("pe_fraction",)
     faults: tuple[str, ...] = ()
     #: Runs under secondary resource models, keyed
@@ -323,7 +324,7 @@ def run_differential(
     generator: Optional[GeneratorSpec] = None,
     generator_index: int = 0,
     kernels: Sequence[str] = ("python",),
-    loops: Sequence[str] = ("python",),
+    loops: Sequence[str] = ("fast",),
     resource_models: Sequence[str] = ("pe_fraction",),
     faults: Sequence[str] = (),
 ) -> DifferentialReport:
@@ -368,8 +369,7 @@ def run_differential(
             land in :attr:`DifferentialReport.fault_runs`, crashes keyed
             ``"<scheduler>@faults:<kind>"``; the sampled plans are recorded
             in the artifact so failures replay bit-for-bit.  Fault runs
-            always use the canonical kernel on ``loop="python"`` (the only
-            loop that models faults).
+            use the canonical kernel and the canonical loop.
     """
     for kernel in kernels:
         if kernel not in KERNEL_AXIS:
@@ -434,11 +434,6 @@ def run_differential(
         fault_plan: tuple[FaultSpec, ...] = (),
     ) -> tuple[SimulationResult, Tracer]:
         mode, engine_kernel = KERNEL_AXIS[axis_name]
-        if mode != "fast" or fault_plan:
-            # Non-python loops only exist for the fast engine mode, and
-            # fault injection exists only on the python loop; the
-            # reference decision path always runs the historical loop.
-            loop_name = "python"
         tracer = Tracer()
         engine = SimulationEngine(
             scenario=scenario,
@@ -450,7 +445,8 @@ def run_differential(
             tracer=tracer,
             mode=mode,
             kernel=engine_kernel,
-            loop=loop_name,
+            # Loops are a fast-mode axis; reference mode has its own loop.
+            loop=loop_name if mode == "fast" else None,
             resource_model=resource_model,
             faults=fault_plan,
         )
@@ -491,7 +487,7 @@ def run_differential(
         for kind, fault_plan in fault_plans.items():
             try:
                 f_result, f_tracer = _run(
-                    scheduler_name, canonical, "python", fault_plan=fault_plan
+                    scheduler_name, canonical, canonical_loop, fault_plan=fault_plan
                 )
             except Exception:  # noqa: BLE001 - a crashing chaos run is a finding
                 report.harness_errors[
@@ -614,7 +610,7 @@ def run_fuzz(
     duration_ms: float = 400.0,
     seed: int = 0,
     kernels: Sequence[str] = ("python",),
-    loops: Sequence[str] = ("python",),
+    loops: Sequence[str] = ("fast",),
     resource_models: Sequence[str] = ("pe_fraction",),
     faults: Sequence[str] = (),
 ) -> FuzzResult:
@@ -699,7 +695,7 @@ def replay_artifact(
         generator=spec,
         generator_index=index,
         kernels=tuple(kernels) if kernels else tuple(artifact.get("kernels") or ("python",)),
-        loops=tuple(loops) if loops else tuple(artifact.get("loops") or ("python",)),
+        loops=tuple(loops) if loops else tuple(artifact.get("loops") or ("fast",)),
         resource_models=(
             tuple(resource_models)
             if resource_models

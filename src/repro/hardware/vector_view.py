@@ -14,35 +14,45 @@ only ever applies the same elementwise IEEE-754 operations the scalar
 expressions apply — so scores computed through these arrays are identical
 to the scalar hot path's, bit for bit.
 
-NumPy is an optional dependency of the package: importing this module is
-always safe, but building a view without NumPy installed raises a
-``RuntimeError`` explaining the fallback (``kernel="python"``).
+NumPy is an optional dependency of the package, and a heavy one, so it
+is loaded only when a vector kernel asks for it: importing this module
+(and therefore ``repro``) probes for numpy without importing it, and
+:func:`require_numpy` performs the import.  Building a view without NumPy
+installed raises a ``RuntimeError`` explaining the fallback
+(``kernel="python"``).
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import TYPE_CHECKING
-
-try:  # pragma: no cover - exercised implicitly by every vector-kernel test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container always ships numpy
-    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.cost_table import CostTable
 
+
+def _numpy_installed() -> bool:
+    """Whether numpy is importable, found without importing it."""
+    try:
+        return importlib.util.find_spec("numpy") is not None
+    except ImportError:
+        return False
+
+
 #: Whether the optional NumPy dependency is importable.
-HAVE_NUMPY = _np is not None
+HAVE_NUMPY = _numpy_installed()
 
 
 def require_numpy():
-    """Return the numpy module, or raise a helpful error when missing."""
-    if _np is None:
+    """Import and return the numpy module, or raise a helpful error when missing."""
+    if not HAVE_NUMPY:
         raise RuntimeError(
             "the vector decision kernel requires numpy, which is not "
             "installed; install numpy or run with kernel='python'"
         )
-    return _np
+    import numpy
+
+    return numpy
 
 
 class VectorCostView:

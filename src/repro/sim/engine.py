@@ -35,15 +35,17 @@ methods ``bind``, ``on_request_arrival``, ``schedule``,
 Performance architecture
 ------------------------
 Because the scheduler runs at every state change, building its
-:class:`~repro.sim.decisions.SystemView` *is* the simulation hot loop.  In
-the default ``mode="fast"`` the engine therefore keeps everything it needs
-incrementally up to date instead of re-deriving it per dispatch round:
+:class:`~repro.sim.decisions.SystemView` *is* the simulation hot loop.  The
+default ``mode="fast"`` runs every simulation — faulted or not — on the
+struct-of-arrays event loop of :mod:`repro.sim.fastloop`, which keeps
+everything it needs incrementally up to date instead of re-deriving it per
+dispatch round:
 
 * the :class:`~repro.sim.queues.RequestPool` maintains a sorted pending
-  index, per-task buckets and a deadline min-heap (the engine notifies it
+  index, per-task buckets and a deadline min-heap (the loop notifies it
   on dispatch/progress via ``note_dispatched``/``note_progress``);
 * executors answer capacity queries from incremental caches, and the
-  engine memoizes each accelerator's frozen view keyed on the executor's
+  loop memoizes each accelerator's frozen view keyed on the executor's
   ``state_version`` (so dispatch rounds that did not touch an accelerator
   reuse its view object); the :class:`~repro.sim.decisions.SystemView`
   itself is memoized the same way and reused — with ``now_ms`` refreshed
@@ -51,7 +53,7 @@ incrementally up to date instead of re-deriving it per dispatch round:
 * cost queries hit the :class:`~repro.hardware.cost_table.CostTable`'s
   precomputed flat arrays.
 
-On top of the cheap-per-call layer, the engine cuts the *number* of
+On top of the cheap-per-call layer, the fast loop cuts the *number* of
 scheduler consultations so dispatch work is proportional to meaningful
 state changes rather than raw events:
 
@@ -68,23 +70,27 @@ state changes rather than raw events:
   time), so a capacity-freeing completion can never be missed.
 * **same-timestamp event coalescing** — when several events carry the
   same timestamp and the dispatch between them is provably inert (hint
-  eligible *and* no expiry due at this instant), the engine drains them
-  all — in the existing re-keyed heap order, so traces are unchanged —
-  and runs a single dispatch for the instant, counting the extra events
-  in :attr:`events_coalesced`.
+  eligible *and* no expiry due at this instant), the loop handles them
+  all — in heap order, so traces are unchanged — and runs a single
+  dispatch for the instant, counting the extra events in
+  :attr:`events_coalesced`.  Fault transitions and retry re-arrivals
+  never coalesce: they move capacity or pool membership.
 
 Both layers are enabled by default in fast mode and can be forced off
 with ``dispatch_elision=False`` for differential testing.
 
-``mode="reference"`` retains the pre-optimization path — scan-based pool,
-per-call executor aggregation, a scan-based
+``mode="reference"`` retains the pre-optimization path — the dict/heap
+event loop in :meth:`SimulationEngine.run`, scan-based pool, per-call
+executor aggregation, a scan-based
 :class:`~repro.hardware.cost_table.ReferenceCostTable`, and the exact
 per-event dispatch sequence (no elision, no coalescing) — and produces
 bit-for-bit identical :class:`~repro.sim.results.SimulationResult`s and
 traces; ``repro bench-engine`` measures and the parity tests enforce this.
-The engine also counts :attr:`events_processed` and
-:attr:`dispatch_rounds` (actual ``schedule()`` invocations) so throughput
-and scheduler load can be reported per cell.
+Fault handling (fault transitions, aborts, retries) is one shared code
+path that both loops call.  The engine also counts
+:attr:`events_processed` and :attr:`dispatch_rounds` (actual
+``schedule()`` invocations) so throughput and scheduler load can be
+reported per cell.
 """
 
 from __future__ import annotations
@@ -183,13 +189,14 @@ class SimulationEngine:
             ``mode="fast"``.  Decisions, results and traces are bit-for-bit
             identical across kernels; schedulers that are not kernel-aware
             ignore the setting entirely.
-        loop: ``"python"`` (default) runs the in-engine event loop below;
-            ``"fast"`` runs the struct-of-arrays rewrite
-            (:mod:`repro.sim.fastloop`, pure Python, always available);
-            ``"compiled"`` additionally asserts the mypyc-built fastloop
-            extension is active and fails at construction when it is not
-            (:mod:`repro.sim.loops`).  Requires ``mode="fast"``.  Results,
-            traces and stats are bit-for-bit identical across loops.
+        loop: fast mode has one event loop, the struct-of-arrays loop of
+            :mod:`repro.sim.fastloop`; ``None`` (default) and ``"fast"``
+            select it, and ``"compiled"`` additionally asserts the
+            mypyc-built fastloop extension is active and fails at
+            construction when it is not (:mod:`repro.sim.loops`).  Naming a
+            loop requires ``mode="fast"``: the dict/heap loop in
+            :meth:`run` serves only reference mode.  Results, traces and
+            stats are bit-for-bit identical across loops and modes.
         resource_model: execution-resource model defining what accelerator
             capacity means (:mod:`repro.sim.resource_models`).
             ``"pe_fraction"`` (default) is the paper's spatial-sharing
@@ -201,8 +208,10 @@ class SimulationEngine:
             shared code path, so cross-mode parity holds there too).
         faults: optional fault plan (:mod:`repro.sim.faults`): a sequence
             of :class:`~repro.sim.faults.FaultSpec` or their canonical JSON
-            string.  Requires ``loop="python"``.  With no faults declared
-            the engine is bit-for-bit identical to builds without the axis.
+            string.  Runs in every mode and loop; fast mode and reference
+            mode stay bit-for-bit identical under faults.  With no faults
+            declared the engine is bit-for-bit identical to builds without
+            the axis.
         retry_budget: how many times an outage-aborted request is re-queued
             before it is terminally accounted as ``failed`` (default: 2).
         retry_backoff_ms: base of the exponential re-arrival backoff — the
@@ -225,7 +234,7 @@ class SimulationEngine:
         mode: str = "fast",
         dispatch_elision: bool = True,
         kernel: str = "python",
-        loop: str = "python",
+        loop: Optional[str] = None,
         resource_model: str = "pe_fraction",
         faults: FaultsInput = None,
         retry_budget: int = 2,
@@ -254,11 +263,11 @@ class SimulationEngine:
             from repro.hardware.vector_view import require_numpy
 
             require_numpy()
-        if loop not in ENGINE_LOOPS:
-            raise ValueError(
-                f"unknown loop {loop!r}; available: {', '.join(sorted(ENGINE_LOOPS))}"
-            )
-        if loop != "python":
+        if loop is not None:
+            if loop not in ENGINE_LOOPS:
+                raise ValueError(
+                    f"unknown loop {loop!r}; available: {', '.join(sorted(ENGINE_LOOPS))}"
+                )
             if mode != "fast":
                 raise ValueError(
                     f"loop={loop!r} requires mode='fast' (the reference mode "
@@ -273,18 +282,14 @@ class SimulationEngine:
                 f"unknown resource model {resource_model!r}; available: {known}"
             )
         self.faults = parse_faults(faults)
-        if self.faults and loop != "python":
-            raise ValueError(
-                "fault injection requires loop='python' (the struct-of-arrays "
-                "loops do not model faults); drop faults= or use loop='python'"
-            )
         if retry_budget < 0:
             raise ValueError(f"retry_budget must be >= 0, got {retry_budget}")
         if retry_backoff_ms <= 0:
             raise ValueError(f"retry_backoff_ms must be positive, got {retry_backoff_ms}")
         self.retry_budget = retry_budget
         self.retry_backoff_ms = retry_backoff_ms
-        self.loop = loop
+        #: The fast-mode event loop (``None`` in reference mode).
+        self.loop = (loop or "fast") if mode == "fast" else None
         self.resource_model = resource_model
         self.scenario = scenario
         self.platform = platform
@@ -349,24 +354,6 @@ class SimulationEngine:
         self._latency_quantiles = {
             task.name: StreamingQuantiles() for task in scenario.tasks
         }
-        # Cached per-accelerator views, keyed (state_version, busy_until).
-        self._acc_views: list[Optional[AcceleratorView]] = [None] * len(self._executors)
-        self._acc_view_keys: list[tuple[int, float]] = [(-1, 0.0)] * len(self._executors)
-        self._acc_views_tuple: Optional[tuple[AcceleratorView, ...]] = None
-        # Memoized SystemView: rebuilt only when one of its component
-        # snapshots is replaced; otherwise reused with now_ms refreshed.
-        self._view: Optional[SystemView] = None
-        # Accelerator-view scan elision: dirty is set on every executor
-        # start/complete; with clean executors that are all busy, the view
-        # tuple cannot have changed (see _accelerator_views_fast).
-        self._execs_dirty = True
-        self._acc_all_busy = False
-        # Wake-hint elision state: the scheduler's hint (resolved in run())
-        # and the (timestamp, pool membership) of the last actual
-        # schedule() call, which gate same-instant-only hints.
-        self._wake_hint = None
-        self._last_schedule_ms: Optional[float] = None
-        self._last_schedule_membership: int = -1
 
         #: Events popped from the event queue (arrivals + completions).
         self.events_processed: int = 0
@@ -395,23 +382,24 @@ class SimulationEngine:
         # vector kernel there; schedulers that ignore it are unaffected.
         self.scheduler.decision_kernel = self.kernel
         self.scheduler.bind(self.platform, self.cost_table, self.scenario, random.Random(self.seed + 1))
-        if self.dispatch_elision:
-            self._wake_hint = self.scheduler.wake_hint()
-        if self.loop != "python":
+        if self._fast:
             # The struct-of-arrays loop primes its own arrival slots and
             # drains to completion; it shares this engine's pool, executors,
-            # RNG, stats and trace/finalize helpers, so everything below the
-            # loop is byte-identical.
+            # RNG, stats and trace/finalize/fault helpers, so everything
+            # below the loop is byte-identical.
             from repro.sim.fastloop import FastLoop
 
             FastLoop(self).run()
-            self._finalize_leftovers()
-            return self._build_result()
-        self._start_arrival_streams()
-        has_faults = bool(self.faults)
-        if has_faults:
-            self._arm_faults()
+        else:
+            self._run_reference_loop()
+        self._finalize_leftovers()
+        return self._build_result()
 
+    def _run_reference_loop(self) -> None:
+        """The dict/heap event loop of reference mode: one dispatch per event."""
+        self._start_arrival_streams()
+        if self.faults:
+            self._arm_faults()
         events = self._events
         heappop = heapq.heappop
         while events:
@@ -423,39 +411,13 @@ class SimulationEngine:
             elif kind == _EVENT_COMPLETE:
                 self._handle_completion(payload)
             elif kind == _EVENT_FAULT:
-                self._handle_fault(payload)
+                for at_ms, request in self._apply_fault(*payload):
+                    self._push_event(at_ms, _EVENT_RETRY, request)
             elif kind == _EVENT_RETRY:
                 self._handle_retry(payload)
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown event kind {kind!r}")
-            # Same-timestamp coalescing: drain further events at this exact
-            # instant — in heap order, so handler traces are unchanged —
-            # when the dispatch between them is provably inert: the wake
-            # hint proves schedule() empty AND no expiry is due right now.
-            # Fault and retry events never coalesce (they move capacity or
-            # pool membership); the guard costs nothing in fault-free runs.
-            while (
-                events
-                and events[0][0] == time_ms
-                and (not has_faults or events[0][3] in (_EVENT_ARRIVAL, _EVENT_COMPLETE))
-                and self._wake_hint is not None
-                and self._provably_empty(self._wake_hint, time_ms)
-                and not self._pool.has_stale(time_ms)
-            ):
-                _t, _prio, _key, kind, payload = heappop(events)
-                self.events_processed += 1
-                self.events_coalesced += 1
-                self.dispatches_elided += 1
-                if kind == _EVENT_ARRIVAL:
-                    self._handle_arrival(payload)
-                elif kind == _EVENT_COMPLETE:
-                    self._handle_completion(payload)
-                else:  # pragma: no cover - defensive
-                    raise RuntimeError(f"unknown event kind {kind!r}")
             self._dispatch(time_ms)
-
-        self._finalize_leftovers()
-        return self._build_result()
 
     # ------------------------------------------------------------------ #
     # event handling
@@ -542,7 +504,6 @@ class SimulationEngine:
             return
         executor = self._executors[acc_id]
         slot = executor.complete(slot_id, self._now)
-        self._execs_dirty = True
         request = slot.request
         if self.tracer is not None:
             self._trace(
@@ -561,33 +522,47 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # fault injection
     # ------------------------------------------------------------------ #
-    def _arm_faults(self) -> None:
-        """Push every fault's begin/end transition onto the event heap.
+    def _fault_transitions(self) -> list[tuple[float, int, int]]:
+        """Every fault's begin/end transition as sorted ``(time, phase, index)``.
 
-        Entries are keyed ``(time, _PRIO_FAULT, (phase, index))`` with
-        recoveries (phase 0) ordered before activations (phase 1) at equal
-        times, so a back-to-back outage hands capacity back before the next
-        window opens — and everything stays deterministic under ties.
+        The sort order is the heap key ``(time, _PRIO_FAULT, (phase,
+        index))``: recoveries (phase 0) come before activations (phase 1)
+        at equal times, so a back-to-back outage hands capacity back before
+        the next window opens — and everything stays deterministic under
+        ties.  Reference mode pushes these onto its heap; the fast loop
+        walks the list.
         """
+        transitions = []
         for index, spec in enumerate(self.faults):
+            transitions.append((spec.start_ms, 1, index))
+            transitions.append((spec.end_ms, 0, index))
+        transitions.sort()
+        return transitions
+
+    def _arm_faults(self) -> None:
+        """Push every fault transition onto the reference loop's heap."""
+        for time_ms, phase, index in self._fault_transitions():
             self._heap_push(
-                (spec.start_ms, _PRIO_FAULT, (1, index), _EVENT_FAULT, (index, "begin"))
-            )
-            self._heap_push(
-                (spec.end_ms, _PRIO_FAULT, (0, index), _EVENT_FAULT, (index, "end"))
+                (time_ms, _PRIO_FAULT, (phase, index), _EVENT_FAULT, (index, phase))
             )
 
-    def _handle_fault(self, payload) -> None:
-        index, phase = payload
+    def _apply_fault(self, index: int, phase: int) -> list[tuple[float, InferenceRequest]]:
+        """Open (phase 1) or close (phase 0) fault ``index`` at ``self._now``.
+
+        Returns the ``(re-arrival time, request)`` retries an outage abort
+        scheduled; each loop pushes them onto its own event storage as
+        completion-class events, in list order.
+        """
         spec = self.faults[index]
-        if phase == "begin":
+        name = "begin" if phase else "end"
+        if phase:
             self._active_faults.add(index)
         else:
             self._active_faults.discard(index)
         if self.tracer is not None:
             self.tracer.record(
                 time_ms=self._now,
-                event=f"fault_{phase}",
+                event=f"fault_{name}",
                 task_name="__fault__",
                 request_id=-(index + 1),
                 model_name=spec.kind,
@@ -595,8 +570,9 @@ class SimulationEngine:
                 detail=f"magnitude={spec.magnitude:g}",
             )
         self._refresh_fault_state()
-        if phase == "begin" and spec.kind == "platform_outage":
-            self._abort_in_flight()
+        if phase and spec.kind == "platform_outage":
+            return self._abort_in_flight()
+        return []
 
     def _refresh_fault_state(self) -> None:
         """Recompute every executor's capacity/latency from the open windows.
@@ -623,14 +599,9 @@ class SimulationEngine:
                 capacity = 0.0
             executor.set_capacity(capacity)
             executor.set_latency_factor(factor)
-        self._execs_dirty = True
-        # A fault transition is a decision-relevant state change that does
-        # not touch pool membership, so same-instant-only hints must not
-        # elide the next consultation: invalidate the recorded snapshot.
-        self._last_schedule_membership = -1
 
-    def _abort_in_flight(self) -> None:
-        """Kill every in-flight slot (outage begin) and re-queue or fail.
+    def _abort_in_flight(self) -> list[tuple[float, InferenceRequest]]:
+        """Kill every in-flight slot (outage begin); return the retries.
 
         Each aborted request is either re-queued with exponential backoff
         (``retry_backoff_ms * 2**(retries-1)``) while its bounded retry
@@ -638,10 +609,9 @@ class SimulationEngine:
         of the two, which the ``fault_conservation`` oracle audits.
         """
         now = self._now
+        retries: list[tuple[float, InferenceRequest]] = []
         for executor in self._executors:
             aborted = executor.abort_all(now)
-            if not aborted:
-                continue
             for slot in aborted:
                 self._cancelled_slots.add(slot.slot_id)
                 request = slot.request
@@ -659,14 +629,14 @@ class SimulationEngine:
                 self.scheduler.on_request_finished(request, now)
                 if request.retries <= self.retry_budget:
                     backoff = self.retry_backoff_ms * (2.0 ** (request.retries - 1))
-                    self._push_event(now + backoff, _EVENT_RETRY, request)
+                    retries.append((now + backoff, request))
                 else:
                     request.mark_failed(now)
                     self.requests_failed += 1
                     if self.tracer is not None:
                         self._trace(request, "failed", detail="retry budget exhausted")
                     self._accumulate_stats(request)
-        self._execs_dirty = True
+        return retries
 
     def _handle_retry(self, request: InferenceRequest) -> None:
         """Re-queue an aborted request after its backoff elapsed."""
@@ -727,58 +697,17 @@ class SimulationEngine:
     # dispatching
     # ------------------------------------------------------------------ #
     def _dispatch(self, now: float) -> None:
+        """Reference mode's dispatch: consult the scheduler until it settles."""
         self._expire_stale(now)
-        hint = self._wake_hint
-        scheduler = self.scheduler
         for _ in range(_MAX_DISPATCH_ROUNDS):
-            if hint is not None and self._provably_empty(hint, now):
-                self.dispatches_elided += 1
-                return
             self.dispatch_rounds += 1
-            decision = scheduler.schedule(self._system_view(now))
-            if hint is not None:
-                # Record the consultation point for same-instant-only hints:
-                # captured before the decision is applied, so drops and
-                # finalizations performed by _apply_decision bump the
-                # membership version past this snapshot and correctly
-                # re-arm the next round.
-                self._last_schedule_ms = now
-                self._last_schedule_membership = self._pool.membership_version
-            if decision.is_empty:
-                return
-            applied = self._apply_decision(decision, now)
-            if applied == 0:
+            decision = self.scheduler.schedule(self._system_view(now))
+            if decision.is_empty or self._apply_decision(decision, now) == 0:
                 return
         raise RuntimeError(
             f"scheduler {type(self.scheduler).__name__} did not converge after "
             f"{_MAX_DISPATCH_ROUNDS} dispatch rounds at t={now:.3f} ms"
         )
-
-    def _provably_empty(self, hint, now: float) -> bool:
-        """Whether the wake hint proves the next ``schedule()`` call inert.
-
-        Every predicate is evaluated against *live* pool/executor state, so
-        elision never acts on stale information: pending-set membership is
-        read off the incremental pool, and an accelerator's free fraction
-        only moves through ``start``/``complete`` (time alone frees no
-        capacity), so a capacity-freeing completion always re-enables
-        consultation at its own event.
-        """
-        if hint.same_instant_only and (
-            self._last_schedule_ms != now
-            or self._last_schedule_membership != self._pool.membership_version
-        ):
-            return False
-        if not self._pool.has_pending:
-            return hint.elide_when_no_pending
-        min_free = hint.min_free_fraction
-        if min_free is None:
-            return False
-        threshold = min_free - 1e-9
-        for executor in self._executors:
-            if executor.free_fraction >= threshold:
-                return False
-        return True
 
     def _expire_stale(self, now: float) -> None:
         if self.expire_after_periods is None:
@@ -816,7 +745,6 @@ class SimulationEngine:
                 if request.model_name != old_name:
                     self._trace(request, "variant_switch", detail=f"{old_name} -> {request.model_name}")
             record = executor.start(assignment, now)
-            self._execs_dirty = True
             self._pool.note_dispatched(request)
             if self.tracer is not None:
                 self._trace_dispatch(assignment, record)
@@ -824,121 +752,27 @@ class SimulationEngine:
             applied += 1
         return applied
 
-    def _accelerator_view(self, index: int, now: float) -> AcceleratorView:
-        """Fresh frozen view of one executor (reference mode: built per round)."""
-        executor = self._executors[index]
-        return AcceleratorView(
-            acc_id=executor.acc_id,
-            free_fraction=executor.free_fraction,
-            busy_until_ms=executor.busy_until_ms(now),
-            resident_model=executor.resident_model,
-            running_tasks=executor.running_tasks(),
-        )
-
-    def _accelerator_views_fast(self, now: float) -> tuple[AcceleratorView, ...]:
-        """All accelerator views, reusing cached view objects and their tuple.
-
-        A view object is rebuilt only when its executor's ``state_version``
-        moved; if merely the idle-time clock advanced, ``busy_until_ms`` is
-        refreshed in place (in-repo schedulers never retain views across
-        scheduling points, so the mutation of the frozen dataclass is
-        unobservable to them).  The enclosing tuple is reused whenever no
-        view object was replaced — and when no executor was touched since
-        the last call *and* every accelerator is busy, the cached tuple is
-        returned without even scanning: a busy executor's ``busy_until_ms``
-        is the static maximum of its slot end times, so no field of any
-        view can have moved (``self._execs_dirty`` is set by the engine on
-        every ``start``/``complete``, the only operations that mutate an
-        executor).
-        """
-        if (
-            not self._execs_dirty
-            and self._acc_all_busy
-            and self._acc_views_tuple is not None
-        ):
-            return self._acc_views_tuple
-        views = self._acc_views
-        keys = self._acc_view_keys
-        replaced = False
-        all_busy = True
-        for index, executor in enumerate(self._executors):
-            if executor.slots:
-                busy = executor._busy_until if executor.fast else executor.busy_until_ms(now)
-            else:
-                busy = now
-                all_busy = False
-            version = executor.state_version
-            cached = views[index]
-            cached_key = keys[index]
-            if cached is not None and cached_key[0] == version:
-                if cached_key[1] != busy:
-                    object.__setattr__(cached, "busy_until_ms", busy)
-                    keys[index] = (version, busy)
-                continue
-            views[index] = AcceleratorView(
-                acc_id=executor.acc_id,
-                free_fraction=executor.free_fraction,
-                busy_until_ms=busy,
-                resident_model=executor.resident_model,
-                running_tasks=executor.running_tasks(),
-            )
-            keys[index] = (version, busy)
-            replaced = True
-        self._execs_dirty = False
-        self._acc_all_busy = all_busy
-        if replaced or self._acc_views_tuple is None:
-            self._acc_views_tuple = tuple(views)
-        return self._acc_views_tuple
-
     def _system_view(self, now: float) -> SystemView:
-        if not self._fast:
-            return SystemView(
-                now_ms=now,
-                platform=self.platform,
-                cost_table=self.cost_table,
-                scenario=self.scenario,
-                accelerators=tuple(
-                    self._accelerator_view(index, now)
-                    for index in range(len(self._executors))
-                ),
-                pending_requests=self._pool.pending_snapshot(),
-                running_requests=self._pool.running_snapshot(),
-                queue_depths=self._pool.queue_depths(self._task_names),
-            )
-        # Fast path: every component snapshot is memoized on its own state
-        # version, so the enclosing SystemView can be keyed purely on
-        # component identity — when nothing was replaced, the previous view
-        # object is reused with now_ms refreshed in place (legal under the
-        # documented view lifetime contract: schedulers never retain views
-        # across scheduling points).
-        pool = self._pool
-        accelerators = self._accelerator_views_fast(now)
-        pending = pool.pending_snapshot()
-        running = pool.running_snapshot()
-        depths = pool.queue_depths(self._task_names)
-        view = self._view
-        if (
-            view is not None
-            and view.accelerators is accelerators
-            and view.pending_requests is pending
-            and view.running_requests is running
-            and view.queue_depths is depths
-        ):
-            if view.now_ms != now:
-                object.__setattr__(view, "now_ms", now)
-            return view
-        view = SystemView(
+        """A fresh view, every component rebuilt per round (reference mode)."""
+        return SystemView(
             now_ms=now,
             platform=self.platform,
             cost_table=self.cost_table,
             scenario=self.scenario,
-            accelerators=accelerators,
-            pending_requests=pending,
-            running_requests=running,
-            queue_depths=depths,
+            accelerators=tuple(
+                AcceleratorView(
+                    acc_id=executor.acc_id,
+                    free_fraction=executor.free_fraction,
+                    busy_until_ms=executor.busy_until_ms(now),
+                    resident_model=executor.resident_model,
+                    running_tasks=executor.running_tasks(),
+                )
+                for executor in self._executors
+            ),
+            pending_requests=self._pool.pending_snapshot(),
+            running_requests=self._pool.running_snapshot(),
+            queue_depths=self._pool.queue_depths(self._task_names),
         )
-        self._view = view
-        return view
 
     # ------------------------------------------------------------------ #
     # statistics

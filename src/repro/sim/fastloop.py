@@ -1,11 +1,13 @@
-"""The struct-of-arrays event loop (``SimulationEngine(loop="fast")``).
+"""The struct-of-arrays event loop: the one event loop of fast mode.
 
-This module is a drop-in rewrite of the engine's inner event loop that
-attacks the *per-event floor* the vector decision kernel could not touch
-(see docs/performance.md): heap tuple churn, per-event attribute and
-property lookups, and dispatch bookkeeping.  It produces **bit-for-bit
-identical** results, traces and stats — the parity sweep, ``repro fuzz
---loops all`` and the bench-engine per-cell parity assertions enforce it.
+Every ``SimulationEngine(mode="fast")`` run — faulted or not — drains its
+events here; the engine's own dict/heap loop serves only
+``mode="reference"``, which stays the differential oracle.  This loop
+attacks the *per-event floor* (see docs/performance.md): heap tuple churn,
+per-event attribute and property lookups, and dispatch bookkeeping.  It
+produces **bit-for-bit identical** results and traces to reference mode —
+the parity sweep, the fault-parity tests and the bench-engine per-cell
+parity assertions enforce it.
 
 Design
 ------
@@ -25,15 +27,27 @@ Design
   instead of the 5-tuple with string kind and payload tuple.  ``seq`` is
   the same monotone push-order tie-break as the engine's, and the merge
   rule *arrival wins ties* reproduces ``_PRIO_ARRIVAL < _PRIO_COMPLETE``.
+  Retry re-arrivals after an outage abort are completion-class events
+  too: they share the heap and the sequence, with the code ``-1`` and
+  the request parked in a side table keyed by ``seq``.
+* **Fault transitions as a static sorted list.**  A fault plan is known
+  up front, so its begin/end transitions are sorted once by the engine's
+  heap key ``(time, _PRIO_FAULT, (phase, index))`` and walked with a
+  cursor; they win ties against arrivals and completions.  Their effect
+  (capacity, latency, aborts, retries) is the engine's shared fault code
+  path; this loop only pushes the returned retries.  Completions of slots
+  an outage killed are swallowed when they surface.
 * **Inlined transitions.**  The arrival → dispatch → progress → finalize
   transitions, the wake-hint elision predicate (fully unrolled against
-  hoisted hint fields and the pool's raw pending list), the
-  same-timestamp coalescing drain, the decision application (terminal
-  state and capacity checks inlined) and the memoized accelerator/system
-  view refresh (snapshot version guards inlined, parallel key arrays)
-  all live in one monomorphic ``run()`` with hot state in locals.
-  Scheduler lifecycle hooks that are not overridden (the base-class
-  no-ops) are detected once and never called.
+  hoisted hint fields and the pool's raw pending list), same-timestamp
+  coalescing, the decision application (terminal state and capacity
+  checks inlined) and the memoized accelerator/system view refresh
+  (snapshot version guards inlined, parallel key arrays) all live in one
+  monomorphic ``run()`` with hot state in locals.  Free fractions are
+  ``executor._capacity - executor._allocated``, bit-identical to the
+  historical ``1.0 - _allocated`` at full capacity.  Scheduler lifecycle
+  hooks that are not overridden (the base-class no-ops) are detected
+  once and never called.
 * **Compilable subset.**  Everything here is fully annotated, avoids
   closures and dynamic attributes on the hot path, and stays inside the
   mypyc-compilable subset; ``pip install .[compiled]`` plus the gated
@@ -42,17 +56,19 @@ Design
   (``loop="compiled"`` asserts that build is active, see
   :mod:`repro.sim.loops`).
 
-Cold paths (request finalization, cascade spawning, expiry, tracing)
-delegate to the engine's own methods so the statistics/trace logic exists
-exactly once; the loop keeps ``engine._now`` synced so those methods see
-the same clock they would under the Python loop.
+Cold paths (request finalization, cascade spawning, expiry, fault
+transitions, retries, tracing) delegate to the engine's own methods so the
+statistics/trace logic exists exactly once; the loop keeps ``engine._now``
+synced so those methods see the same clock they would under the reference
+loop.  The loop holds the engine, never the other way round, so a finished
+run leaves no reference cycle behind.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import replace
-from typing import Any, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.sim.decisions import AcceleratorView, SystemView
 from repro.sim.request import RequestState
@@ -61,6 +77,9 @@ from repro.workloads.frames import head_arrival_plan, task_frame_stream
 #: Completion payloads are packed into one int: ``(acc_id << 48) | slot_id``.
 _ACC_SHIFT = 48
 _SLOT_MASK = (1 << _ACC_SHIFT) - 1
+
+#: Heap code of a retry re-arrival (completion codes are non-negative).
+_RETRY = -1
 
 _INF = float("inf")
 
@@ -78,8 +97,7 @@ class FastLoop:
     The loop borrows the engine's live components (pool, executors,
     scheduler, RNG, stats) and owns only the event storage; counters are
     written back to the engine when the run drains so
-    ``SimulationResult.engine_counters`` is indistinguishable from the
-    Python loop's.
+    ``SimulationResult.engine_counters`` reads the same as ever.
     """
 
     def __init__(self, engine: Any) -> None:
@@ -97,13 +115,15 @@ class FastLoop:
         self.pending_values: List[Any] = engine._pool._pending_values
         # True under the default pe_fraction resource model: admission stays
         # the historical inlined arithmetic.  Other models route through
-        # executor.can_accept_assignment; all remaining `1.0 - _allocated`
+        # executor.can_accept_assignment; all remaining free-fraction
         # reads stay valid because slots store their *charged* fraction.
         self.default_resources: bool = engine._default_resources
+        # Slot ids an outage killed (shared with the engine's abort path).
+        self.cancelled: Any = engine._cancelled_slots
 
-        # Wake-hint elision state (resolved by engine.run() before we are
-        # constructed); fields hoisted so the hot predicate reads locals.
-        hint: Any = engine._wake_hint
+        # Wake-hint elision state (the scheduler is bound before the loop
+        # is constructed); fields hoisted so the hot predicate reads locals.
+        hint: Any = engine.scheduler.wake_hint() if engine.dispatch_elision else None
         self.have_hint: bool = hint is not None
         self.hint_same_instant: bool = bool(hint.same_instant_only) if self.have_hint else False
         self.hint_elide_no_pending: bool = bool(hint.elide_when_no_pending) if self.have_hint else False
@@ -134,7 +154,16 @@ class FastLoop:
         self.arrivals_active: int = 0
 
         # --- completion heap: (end_ms, seq, (acc_id << 48) | slot_id) ---
+        # Retry re-arrivals share it as (at_ms, seq, _RETRY), their
+        # requests parked in retry_requests under seq.
         self.comp_heap: List[Any] = []
+        self.retry_requests: Dict[int, Any] = {}
+
+        # --- fault transitions: sorted (time, phase, index), one cursor ---
+        self.fault_transitions: List[Any] = engine._fault_transitions()
+        # Transitions not yet taken; they count toward heap occupancy (the
+        # reference loop keeps them on its heap from the start).
+        self.faults_pending: int = 0
 
         # Counters (mirrors of the engine's, written back on drain).
         self.events_processed: int = 0
@@ -143,8 +172,8 @@ class FastLoop:
         self.events_coalesced: int = 0
         self.peak_event_heap: int = 0
 
-        # Memoized view state (same protocol as the engine's fast path,
-        # with the key tuples split into parallel scalar arrays).
+        # Memoized view state: an accelerator's view is keyed on its
+        # executor's (state_version, busy_until), split into parallel arrays.
         n_exec = len(self.executors)
         self.acc_views: List[Optional[Any]] = [None] * n_exec
         self.acc_view_versions: List[int] = [-1] * n_exec
@@ -175,6 +204,11 @@ class FastLoop:
                 )
             )
             self._refill_slot(i)
+        # Fault transitions are armed after the arrival streams are primed.
+        self.faults_pending = len(self.fault_transitions)
+        occupancy = self.arrivals_active + self.faults_pending
+        if occupancy > self.peak_event_heap:
+            self.peak_event_heap = occupancy
 
     # ------------------------------------------------------------------ #
     # arrival slots
@@ -202,7 +236,7 @@ class FastLoop:
         self.slot_times[index] = arrival
         self.slot_frames[index] = frame
         self.arrivals_active += 1
-        occupancy = self.arrivals_active + len(self.comp_heap)
+        occupancy = self.arrivals_active + self.faults_pending + len(self.comp_heap)
         if occupancy > self.peak_event_heap:
             self.peak_event_heap = occupancy
 
@@ -226,7 +260,7 @@ class FastLoop:
     # the loop
     # ------------------------------------------------------------------ #
     def run(self) -> None:
-        """Drain all events; mirrors ``SimulationEngine.run``'s loop."""
+        """Drain all events: faults, arrivals, completions and retries."""
         engine = self.engine
         scheduler = self.scheduler
         pool = self.pool
@@ -234,9 +268,13 @@ class FastLoop:
         tracer = self.tracer
         rng = self.rng
         comp_heap = self.comp_heap
+        retry_requests = self.retry_requests
+        cancelled = self.cancelled
         slot_times = self.slot_times
         slot_frames = self.slot_frames
         slot_tasks = self.slot_tasks
+        fault_transitions = self.fault_transitions
+        n_transitions = len(fault_transitions)
         pending_values = self.pending_values
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -264,13 +302,36 @@ class FastLoop:
         # is recomputed after arrival pops and never after completions.
         best_i = self._best_arrival()
         best_at = slot_times[best_i] if best_i >= 0 else _INF
+        fault_pos = 0
+        fault_at = fault_transitions[0][0] if n_transitions else _INF
 
         while True:
             comp_at = comp_heap[0][0] if comp_heap else _INF
-            if best_at <= comp_at:
-                # Arrival wins ties: _PRIO_ARRIVAL < _PRIO_COMPLETE.
-                if best_at == _INF:
+            if fault_at <= best_at and fault_at <= comp_at:
+                # Fault transitions win ties: _PRIO_FAULT is the lowest.
+                if fault_at == _INF:
                     break
+                now = fault_at
+                engine._now = now
+                events_processed += 1
+                transition = fault_transitions[fault_pos]
+                fault_pos += 1
+                fault_at = fault_transitions[fault_pos][0] if fault_pos < n_transitions else _INF
+                self.faults_pending -= 1
+                for retry in engine._apply_fault(transition[2], transition[1]):
+                    retry_requests[comp_seq] = retry[1]
+                    heappush(comp_heap, (retry[0], comp_seq, _RETRY))
+                    comp_seq += 1
+                    occupancy = self.arrivals_active + self.faults_pending + len(comp_heap)
+                    if occupancy > self.peak_event_heap:
+                        self.peak_event_heap = occupancy
+                self.execs_dirty = True
+                # A fault transition moves decision-relevant state without
+                # touching pool membership: same-instant-only hints must not
+                # elide the next consultation.
+                last_schedule_membership = -1
+            elif best_at <= comp_at:
+                # Arrival wins ties: _PRIO_ARRIVAL < _PRIO_COMPLETE.
                 now = best_at
                 engine._now = now
                 events_processed += 1
@@ -301,104 +362,67 @@ class FastLoop:
                 engine._now = now
                 events_processed += 1
                 code: int = entry[2]
-                executor = executors[code >> _ACC_SHIFT]
-                slot = executor.complete(code & _SLOT_MASK, now)
-                self.execs_dirty = True
-                request = slot.request
-                if tracer is not None:
-                    engine._trace(
-                        request, "layers_complete", acc_id=code >> _ACC_SHIFT,
-                        detail=f"{len(slot.layer_indices)} layers",
-                    )
-                if request.state is completed_state:
-                    if tracer is not None:
-                        engine._trace(request, "complete", acc_id=code >> _ACC_SHIFT)
-                    engine._finalize_request(request)
-                    engine._spawn_cascades(request)
+                if code == _RETRY:
+                    engine._handle_retry(retry_requests.pop(entry[1]))
+                elif cancelled and (code & _SLOT_MASK) in cancelled:
+                    # An outage killed this slot after its completion was
+                    # pushed; swallow the stale event.
+                    cancelled.discard(code & _SLOT_MASK)
                 else:
-                    pool.note_progress(request)
-                    if self.call_layers_hook:
-                        scheduler.on_layers_complete(request, now)
+                    executor = executors[code >> _ACC_SHIFT]
+                    slot = executor.complete(code & _SLOT_MASK, now)
+                    self.execs_dirty = True
+                    request = slot.request
+                    if tracer is not None:
+                        engine._trace(
+                            request, "layers_complete", acc_id=code >> _ACC_SHIFT,
+                            detail=f"{len(slot.layer_indices)} layers",
+                        )
+                    if request.state is completed_state:
+                        if tracer is not None:
+                            engine._trace(request, "complete", acc_id=code >> _ACC_SHIFT)
+                        engine._finalize_request(request)
+                        engine._spawn_cascades(request)
+                    else:
+                        pool.note_progress(request)
+                        if self.call_layers_hook:
+                            scheduler.on_layers_complete(request, now)
 
-            # Same-timestamp coalescing (identical conditions and order to
-            # the engine loop: next event at this instant, hint present,
-            # provably inert, no expiry due).
+            # Same-timestamp coalescing: when the next event shares this
+            # instant, is an arrival or a completion (never a fault or a
+            # retry), the dispatch in between is provably inert and no
+            # expiry is due, take that event first and dispatch once after
+            # it.  Each coalesced event counts one elided dispatch.
             if have_hint:
-                while True:
-                    comp_at = comp_heap[0][0] if comp_heap else _INF
-                    next_at = best_at if best_at <= comp_at else comp_at
-                    if next_at != now:
-                        break
+                comp_at = comp_heap[0][0] if comp_heap else _INF
+                if best_at <= comp_at:
+                    same_instant = best_at == now
+                else:
+                    same_instant = comp_at == now and comp_heap[0][2] != _RETRY
+                if same_instant and fault_at != now:
                     # --- inlined _provably_empty(hint, now) ---
                     if hint_same_instant and (
                         last_schedule_ms != now
                         or last_schedule_membership != pool._depth_version
                     ):
-                        break
-                    if not pending_values:
-                        if not hint_elide_no_pending:
-                            break
+                        inert = False
+                    elif not pending_values:
+                        inert = hint_elide_no_pending
                     elif not hint_has_min_free:
-                        break
+                        inert = False
                     else:
-                        eligible = True
+                        inert = True
                         for executor in executors:
-                            free: float = 1.0 - executor._allocated
+                            free: float = executor._capacity - executor._allocated
                             if free < 0.0:
                                 free = 0.0
                             if free >= hint_threshold:
-                                eligible = False
+                                inert = False
                                 break
-                        if not eligible:
-                            break
-                    if expiry_enabled and pool.has_stale(now):
-                        break
-                    events_processed += 1
-                    events_coalesced += 1
-                    dispatches_elided += 1
-                    if best_at <= comp_at:
-                        frame = slot_frames[best_i]
-                        slot_times[best_i] = _INF
-                        slot_frames[best_i] = None
-                        self.arrivals_active -= 1
-                        self._refill_slot(best_i)
-                        task = slot_tasks[best_i]
-                        best_i = self._best_arrival()
-                        best_at = slot_times[best_i] if best_i >= 0 else _INF
-                        request = request_cls(
-                            task_name=task.name,
-                            model=task.default_model,
-                            frame_id=frame.frame_id,
-                            arrival_ms=frame.arrival_ms,
-                            deadline_ms=frame.deadline_ms,
-                            rng=rng,
-                        )
-                        pool.add(request)
-                        if tracer is not None:
-                            engine._trace(request, "arrival")
-                        if self.call_arrival_hook:
-                            scheduler.on_request_arrival(request, now)
-                    else:
-                        entry = heappop(comp_heap)
-                        code = entry[2]
-                        executor = executors[code >> _ACC_SHIFT]
-                        slot = executor.complete(code & _SLOT_MASK, now)
-                        self.execs_dirty = True
-                        request = slot.request
-                        if tracer is not None:
-                            engine._trace(
-                                request, "layers_complete", acc_id=code >> _ACC_SHIFT,
-                                detail=f"{len(slot.layer_indices)} layers",
-                            )
-                        if request.state is completed_state:
-                            if tracer is not None:
-                                engine._trace(request, "complete", acc_id=code >> _ACC_SHIFT)
-                            engine._finalize_request(request)
-                            engine._spawn_cascades(request)
-                        else:
-                            pool.note_progress(request)
-                            if self.call_layers_hook:
-                                scheduler.on_layers_complete(request, now)
+                    if inert and not (expiry_enabled and pool.has_stale(now)):
+                        events_coalesced += 1
+                        dispatches_elided += 1
+                        continue
 
             # ---------------- dispatch (inlined _dispatch) ----------------
             if expiry_enabled and pool.has_stale(now):
@@ -406,8 +430,8 @@ class FastLoop:
             rounds = 0
             while True:
                 # The round cap is checked before the elision predicate so a
-                # 65th scheduling point raises exactly like the engine's
-                # exhausted ``for`` loop would.
+                # 65th scheduling point raises exactly like the reference
+                # loop's exhausted ``for`` loop would.
                 if rounds >= _MAX_DISPATCH_ROUNDS:
                     raise RuntimeError(
                         f"scheduler {type(scheduler).__name__} did not converge "
@@ -420,27 +444,30 @@ class FastLoop:
                         last_schedule_ms != now
                         or last_schedule_membership != pool._depth_version
                     ):
-                        eligible = False
+                        inert = False
                     elif not pending_values:
-                        eligible = hint_elide_no_pending
+                        inert = hint_elide_no_pending
                     elif not hint_has_min_free:
-                        eligible = False
+                        inert = False
                     else:
-                        eligible = True
+                        inert = True
                         for executor in executors:
-                            free = 1.0 - executor._allocated
+                            free = executor._capacity - executor._allocated
                             if free < 0.0:
                                 free = 0.0
                             if free >= hint_threshold:
-                                eligible = False
+                                inert = False
                                 break
-                    if eligible:
+                    if inert:
                         dispatches_elided += 1
                         break
                 rounds += 1
                 dispatch_rounds += 1
                 decision = scheduler.schedule(self._system_view(now))
                 if have_hint:
+                    # Captured before the decision is applied, so drops and
+                    # finalizations bump the membership version past this
+                    # snapshot and re-arm the next round.
                     last_schedule_ms = now
                     last_schedule_membership = pool._depth_version
                 assignments = decision.assignments
@@ -450,8 +477,9 @@ class FastLoop:
                 # ------------- apply decision (inlined) -------------
                 applied = 0
                 for request in drops:
-                    # Skip unless PENDING == the engine's "finished or
-                    # RUNNING" guard (the state space has no other values).
+                    # Skip unless PENDING == the reference loop's "finished
+                    # or RUNNING" guard (the state space has no other
+                    # values).
                     if request.state is not pending_state:
                         continue
                     request.mark_dropped(now)
@@ -466,7 +494,7 @@ class FastLoop:
                     executor = executors[assignment.acc_id]
                     if default_resources:
                         # Inlined executor.can_accept(pe_fraction).
-                        free = 1.0 - executor._allocated
+                        free = executor._capacity - executor._allocated
                         if free < 0.0:
                             free = 0.0
                         if assignment.pe_fraction > free + 1e-9:
@@ -495,7 +523,7 @@ class FastLoop:
                         ),
                     )
                     comp_seq += 1
-                    occupancy = self.arrivals_active + len(comp_heap)
+                    occupancy = self.arrivals_active + self.faults_pending + len(comp_heap)
                     if occupancy > self.peak_event_heap:
                         self.peak_event_heap = occupancy
                     applied += 1
@@ -514,9 +542,19 @@ class FastLoop:
         self.dispatch_rounds = dispatch_rounds
 
     # ------------------------------------------------------------------ #
-    # memoized views (inlined _accelerator_views_fast/_system_view)
+    # memoized views
     # ------------------------------------------------------------------ #
     def _accelerator_views(self, now: float) -> Any:
+        """All accelerator views, reusing cached view objects and their tuple.
+
+        A view is rebuilt only when its executor's ``state_version`` moved
+        (start, complete, or a fault changing capacity or latency); if only
+        the idle-time clock advanced, ``busy_until_ms`` is refreshed in
+        place (schedulers never retain views across scheduling points).
+        When no executor was touched since the last call and every
+        accelerator is busy, no field can have moved, so the cached tuple
+        is returned without a scan.
+        """
         if not self.execs_dirty and self.acc_all_busy and self.acc_views_tuple is not None:
             return self.acc_views_tuple
         views = self.acc_views
@@ -539,7 +577,7 @@ class FastLoop:
                     object.__setattr__(cached, "busy_until_ms", busy)
                     busys[index] = busy
                 continue
-            free: float = 1.0 - executor._allocated
+            free: float = executor._capacity - executor._allocated
             if free < 0.0:
                 free = 0.0
             # Bypass the frozen dataclass __init__ (object.__setattr__ per

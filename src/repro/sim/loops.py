@@ -1,11 +1,13 @@
 """Event-loop implementation selection and compiled-build detection.
 
-Three loops are selectable via ``SimulationEngine(loop=...)``:
+Fast mode has exactly one event loop: the struct-of-arrays loop of
+:mod:`repro.sim.fastloop`, which runs every fast-mode simulation, faulted
+or not.  The dict/heap loop inside :class:`~repro.sim.engine.SimulationEngine`
+serves only ``mode="reference"``, the differential oracle.  Two names are
+selectable via ``SimulationEngine(loop=...)`` (fast mode only):
 
-* ``"python"`` — the historical in-engine event loop (the default, and
-  the differential reference for the other two);
-* ``"fast"`` — the struct-of-arrays rewrite in
-  :mod:`repro.sim.fastloop`, pure Python, always available;
+* ``"fast"`` — the default: :mod:`repro.sim.fastloop`, pure Python,
+  always available;
 * ``"compiled"`` — the same module compiled to a C extension with mypyc
   (``pip install .[compiled]`` plus the gated ``build_ext`` hook in
   setup.py).  The extension shadows ``fastloop.py`` under the same
@@ -14,14 +16,15 @@ Three loops are selectable via ``SimulationEngine(loop=...)``:
   is active and fails fast (at engine construction, like
   ``kernel="vector"`` without numpy) when it is not.
 
-All three produce bit-for-bit identical results, traces and stats; the
-parity sweep and ``repro fuzz --loops all`` enforce it.
+Both produce bit-for-bit identical results, traces and stats to
+reference mode; the parity sweep and ``repro fuzz --kernels reference``
+enforce it.
 """
 
 from __future__ import annotations
 
 #: Event-loop implementations selectable via ``SimulationEngine(loop=...)``.
-ENGINE_LOOPS = ("python", "fast", "compiled")
+ENGINE_LOOPS = ("fast", "compiled")
 
 
 def fastloop_is_compiled() -> bool:
@@ -36,7 +39,7 @@ def available_loops() -> tuple[str, ...]:
     """The loop names constructible in this environment, in axis order."""
     if fastloop_is_compiled():
         return ENGINE_LOOPS
-    return ("python", "fast")
+    return ("fast",)
 
 
 def require_compiled() -> None:

@@ -243,7 +243,7 @@ class TestFuzz:
         assert main(["fuzz", "--seeds", "1", "--schedulers", "all"]) == 0
         assert seen["schedulers"] == scheduler_names()
         assert seen["kernels"] == ["python"]
-        assert seen["loops"] == ["python"]
+        assert seen["loops"] == ["fast"]
         assert seen["resource_models"] == ["pe_fraction"]
         assert seen["faults"] == []
 
@@ -261,8 +261,8 @@ class TestFuzz:
         assert main(["fuzz", "--seeds", "1", "--loops", "all"]) == 0
         out = capsys.readouterr().out
         assert "skipping loop 'compiled' (fastloop extension not built)" in out
-        assert "x loops python+fast" in out
-        assert seen["loops"] == ["python", "fast"]
+        assert "x loops" not in out
+        assert seen["loops"] == ["fast"]
 
     def test_fuzz_explicit_compiled_loop_without_extension_fails(
         self, monkeypatch, capsys
@@ -720,6 +720,25 @@ class TestBenchEngine:
         # The message explains WHY, not just what: profiling cannot see
         # engine passes running inside worker processes.
         assert "worker processes" in err
+
+    @pytest.mark.parametrize("flag", ["--profile", "--profile-out"])
+    def test_bench_engine_rejects_profiling_with_baseline(self, tmp_path, capsys, flag):
+        # cProfile distorts the walls the baseline gates compare, so the
+        # combination is a usage error raised before any cell runs.
+        out_file = tmp_path / "out.json"
+        code = main(
+            self._ARGS
+            + [
+                "--out", str(out_file),
+                "--baseline", str(tmp_path / "BENCH_engine.json"),
+                flag, str(tmp_path / "p.prof"),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "cannot be combined with --baseline" in captured.err
+        assert "bench-engine:" not in captured.out
+        assert not out_file.exists()
 
     def test_bench_engine_rejects_nonpositive_jobs(self, tmp_path, capsys):
         code = main(self._ARGS + ["--out", str(tmp_path / "out.json"), "--jobs", "0"])

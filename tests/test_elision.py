@@ -221,6 +221,60 @@ def test_coalescing_drains_simultaneous_events_bit_for_bit():
     assert results[True][2].events_processed == results[False][2].events_processed
 
 
+#: (events, schedule() calls, elided, coalesced, peak heap) of the aligned
+#: scenario under _COLLIDING_FAULTS, recorded from the dict/heap fast path
+#: before fast mode moved onto the struct-of-arrays loop.
+_PINNED_FAULTED_COALESCING = {
+    "fcfs_dynamic": (196, 85, 196, 51, 9),
+    "planaria": (8314, 8199, 8314, 50, 11),
+    "veltair": (1402, 1291, 1402, 51, 9),
+}
+
+
+@pytest.mark.parametrize("scheduler_name", sorted(_PINNED_FAULTED_COALESCING))
+def test_fault_transitions_and_retries_never_coalesce(scheduler_name):
+    from repro.hardware import CostTable, make_platform
+    from repro.sim import FaultSpec
+
+    scenario = _aligned_scenario()
+    platform = make_platform(_PLATFORM)
+    cost_table = CostTable.build(platform, scenario.all_model_graphs())
+    # Two transitions share t=8 with the aligned arrivals, and the outage
+    # retries land at t=104 behind two arrivals at the same instant, while
+    # the outage keeps every dispatch provably inert.
+    plan = (
+        FaultSpec(kind="accel_degrade", start_ms=0.0, duration_ms=8.0, acc_id=0, magnitude=0.5),
+        FaultSpec(kind="accel_degrade", start_ms=8.0, duration_ms=4.0, acc_id=1, magnitude=0.5),
+        FaultSpec(kind="platform_outage", start_ms=99.0, duration_ms=20.0),
+    )
+    runs = {}
+    for mode in ("fast", "reference"):
+        tracer = Tracer()
+        engine = SimulationEngine(
+            scenario=scenario,
+            platform=platform,
+            scheduler=make_scheduler(scheduler_name),
+            duration_ms=400.0,
+            seed=0,
+            cost_table=cost_table,
+            tracer=tracer,
+            mode=mode,
+            faults=plan,
+        )
+        runs[mode] = (engine.run().to_dict(), _normalize(tracer.records), engine)
+    assert runs["fast"][0] == runs["reference"][0]
+    assert runs["fast"][1] == runs["reference"][1]
+    engine = runs["fast"][2]
+    counters = (
+        engine.events_processed,
+        engine.dispatch_rounds,
+        engine.dispatches_elided,
+        engine.events_coalesced,
+        engine.peak_event_heap,
+    )
+    assert counters == _PINNED_FAULTED_COALESCING[scheduler_name]
+
+
 # --------------------------------------------------------------------- #
 # wake-hint declarations + counter surface
 # --------------------------------------------------------------------- #

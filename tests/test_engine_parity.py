@@ -47,7 +47,7 @@ def _normalize(records):
 
 
 def _run(scenario, platform, cost_table, scheduler_name, mode,
-         duration_ms=_DURATION_MS, seed=0, kernel="python", loop="python"):
+         duration_ms=_DURATION_MS, seed=0, kernel="python"):
     tracer = Tracer()
     engine = SimulationEngine(
         scenario=scenario,
@@ -59,14 +59,13 @@ def _run(scenario, platform, cost_table, scheduler_name, mode,
         tracer=tracer,
         mode=mode,
         kernel=kernel,
-        loop=loop,
     )
     result = engine.run()
     return result, _normalize(tracer.records), engine.events_processed
 
 
 def _assert_parity(scenario, platform, cost_table, scheduler_name, duration_ms, seed=0):
-    """Fast, reference, fastloop and (when available) vector runs must be identical."""
+    """Fast, reference and (when available) vector runs must be identical."""
     fast_result, fast_trace, fast_events = _run(
         scenario, platform, cost_table, scheduler_name, "fast",
         duration_ms=duration_ms, seed=seed,
@@ -79,15 +78,6 @@ def _assert_parity(scenario, platform, cost_table, scheduler_name, duration_ms, 
     assert fast_result.to_dict() == ref_result.to_dict(), f"result mismatch: {label}"
     assert fast_trace == ref_trace, f"trace mismatch: {label}"
     assert fast_events == ref_events
-    loop_result, loop_trace, loop_events = _run(
-        scenario, platform, cost_table, scheduler_name, "fast",
-        duration_ms=duration_ms, seed=seed, loop="fast",
-    )
-    assert loop_result.to_dict() == fast_result.to_dict(), (
-        f"fastloop result mismatch: {label}"
-    )
-    assert loop_trace == fast_trace, f"fastloop trace mismatch: {label}"
-    assert loop_events == fast_events
     if not HAVE_NUMPY:
         return
     vec_result, vec_trace, vec_events = _run(

@@ -1,13 +1,18 @@
 """The struct-of-arrays event loop: wiring, counters, hooks, degradation.
 
-Bit-for-bit result/trace parity of ``loop="fast"`` against the default
-loop is asserted by the sweep in ``test_engine_parity.py``; these tests
-cover everything around it — the loop registry, engine counter parity,
-scheduler lifecycle hooks firing identically, the streaming heap bound,
-and clean degradation when the mypyc extension is absent.
+Fast mode has one event loop, :mod:`repro.sim.fastloop`; bit-for-bit
+result/trace parity against reference mode is asserted by the sweep in
+``test_engine_parity.py`` and, under faults, in ``test_faults.py``.  These
+tests cover everything around it — the loop registry, the engine counters
+the retired dict/heap fast path produced (pinned), scheduler lifecycle
+hooks firing identically to reference mode, the streaming heap bound, and
+clean degradation when the mypyc extension is absent.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
@@ -19,12 +24,47 @@ from repro.sim import (
     SimulationEngine,
     available_loops,
     fastloop_is_compiled,
+    sample_fault_plan,
 )
 
 _PLATFORM = "4k_1ws_2os"
 
+_COUNTERS = (
+    "events_processed",
+    "dispatch_rounds",
+    "dispatches_elided",
+    "events_coalesced",
+    "peak_event_heap",
+)
 
-def _engine(scheduler, loop, duration_ms=250.0, scenario_name="ar_call"):
+#: Counters of ar_call / 4k_1ws_2os / 250 ms, recorded from the dict/heap
+#: fast path before fast mode moved onto this loop.
+_PINNED_COUNTERS = {
+    "fcfs_static": (22, 24, 5, 0, 4),
+    "fcfs_dynamic": (26, 14, 26, 0, 4),
+    "veltair": (206, 194, 206, 0, 5),
+    "planaria": (421, 409, 421, 0, 4),
+    "dream_fixed": (421, 409, 421, 0, 4),
+    "dream_mapscore": (421, 421, 409, 0, 4),
+    "dream_smartdrop": (421, 421, 409, 0, 4),
+    "dream_full": (421, 421, 409, 0, 4),
+}
+
+#: The same cells under a sampled three-kind fault plan, plus
+#: (aborted, retried, failed) requests.
+_PINNED_FAULTED_COUNTERS = {
+    "fcfs_static": (30, 26, 14, 0, 9, 1, 1, 0),
+    "fcfs_dynamic": (34, 13, 34, 0, 10, 1, 1, 0),
+    "veltair": (224, 203, 224, 0, 10, 1, 1, 0),
+    "planaria": (443, 421, 443, 0, 10, 1, 1, 0),
+    "dream_fixed": (429, 408, 429, 0, 9, 1, 1, 0),
+    "dream_mapscore": (429, 429, 408, 0, 9, 1, 1, 0),
+    "dream_smartdrop": (412, 414, 391, 0, 9, 1, 1, 0),
+    "dream_full": (412, 414, 391, 0, 9, 1, 1, 0),
+}
+
+
+def _engine(scheduler, loop=None, duration_ms=250.0, scenario_name="ar_call", **kwargs):
     scenario, platform, cost_table = shared_context(scenario_name, _PLATFORM, 0.5)
     return SimulationEngine(
         scenario=scenario,
@@ -33,39 +73,67 @@ def _engine(scheduler, loop, duration_ms=250.0, scenario_name="ar_call"):
         duration_ms=duration_ms,
         cost_table=cost_table,
         loop=loop,
+        **kwargs,
     )
 
 
 def test_loop_registry():
-    assert ENGINE_LOOPS == ("python", "fast", "compiled")
+    assert ENGINE_LOOPS == ("fast", "compiled")
     loops = available_loops()
-    assert loops[0] == "python"
-    assert "fast" in loops
+    assert loops[0] == "fast"
     # 'compiled' is listed exactly when the mypyc extension is importable.
     assert ("compiled" in loops) == fastloop_is_compiled()
 
 
 def test_engine_records_loop():
-    engine = _engine(make_scheduler("fcfs_dynamic"), "fast")
-    assert engine.loop == "fast"
-    assert _engine(make_scheduler("fcfs_dynamic"), "python").loop == "python"
+    assert _engine(make_scheduler("fcfs_dynamic")).loop == "fast"
+    assert _engine(make_scheduler("fcfs_dynamic"), "fast").loop == "fast"
+    scenario, platform, cost_table = shared_context("ar_call", _PLATFORM, 0.5)
+    reference = SimulationEngine(
+        scenario=scenario, platform=platform, scheduler=make_scheduler("fcfs_dynamic"),
+        duration_ms=100.0, cost_table=cost_table, mode="reference",
+    )
+    assert reference.loop is None
 
 
 @pytest.mark.parametrize("scheduler_name", scheduler_names())
 def test_engine_counters_identical_across_loops(scheduler_name):
-    """events/rounds/elisions/coalescing/peak-heap all match the python loop."""
-    python_engine = _engine(make_scheduler(scheduler_name), "python")
-    python_engine.run()
-    fast_engine = _engine(make_scheduler(scheduler_name), "fast")
-    fast_engine.run()
-    for counter in (
-        "events_processed",
-        "dispatch_rounds",
-        "dispatches_elided",
-        "events_coalesced",
-        "peak_event_heap",
-    ):
-        assert getattr(fast_engine, counter) == getattr(python_engine, counter), counter
+    """events/rounds/elisions/coalescing/peak-heap match the retired loop."""
+    engine = _engine(make_scheduler(scheduler_name))
+    engine.run()
+    counters = tuple(getattr(engine, counter) for counter in _COUNTERS)
+    assert counters == _PINNED_COUNTERS[scheduler_name]
+
+
+@pytest.mark.parametrize("scheduler_name", scheduler_names())
+def test_faulted_engine_counters_match_the_retired_loop(scheduler_name):
+    scenario, platform, _ = shared_context("ar_call", _PLATFORM, 0.5)
+    plan = sample_fault_plan(seed=0, duration_ms=250.0, accelerators=len(platform.accelerators))
+    engine = _engine(make_scheduler(scheduler_name), faults=plan)
+    engine.run()
+    counters = tuple(
+        getattr(engine, counter)
+        for counter in _COUNTERS + ("requests_aborted", "requests_retried", "requests_failed")
+    )
+    assert counters == _PINNED_FAULTED_COUNTERS[scheduler_name]
+
+
+def test_faulted_engine_is_freed_without_the_cycle_collector():
+    """A finished run leaves no reference cycle between engine and loop."""
+    scenario, platform, _ = shared_context("ar_call", _PLATFORM, 0.5)
+    plan = sample_fault_plan(seed=0, duration_ms=250.0, accelerators=len(platform.accelerators))
+    engine = _engine(make_scheduler("dream_full"), faults=plan)
+    engine.run()
+    assert engine.requests_aborted > 0
+    alive = weakref.ref(engine)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del engine
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class _HookRecorder(DynamicFcfsScheduler):
@@ -92,12 +160,12 @@ class _HookRecorder(DynamicFcfsScheduler):
 
 def test_lifecycle_hooks_fire_identically_across_loops():
     runs = {}
-    for loop in ("python", "fast"):
+    for mode in ("reference", "fast"):
         scheduler = _HookRecorder()
-        _engine(scheduler, loop).run()
-        runs[loop] = scheduler.calls
-    assert runs["python"], "recorder saw no hook calls"
-    assert runs["fast"] == runs["python"]
+        _engine(scheduler, mode=mode).run()
+        runs[mode] = scheduler.calls
+    assert runs["reference"], "recorder saw no hook calls"
+    assert runs["fast"] == runs["reference"]
     kinds = {kind for kind, *_ in runs["fast"]}
     # FCFS dispatches whole models, so requests jump straight from arrival
     # to finished; the layers hook is covered by the hook-elision detection

@@ -16,10 +16,12 @@ Three contracts:
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from repro.schedulers import make_scheduler
+from repro.experiments.jobs import generated_context
+from repro.schedulers import make_scheduler, scheduler_names
 from repro.sim import (
     FAULT_KINDS,
     FaultSpec,
@@ -35,6 +37,7 @@ from repro.sim import (
     sample_fault_plan,
     stall_factor_at,
 )
+from repro.workloads import GeneratorSpec
 
 
 def _engine(scenario, platform, cost_table, scheduler="fcfs_dynamic", **kwargs):
@@ -151,14 +154,125 @@ class TestFaultSpec:
         assert outage_active(plan, 5.0)
 
 
-class TestEngineFaults:
-    def test_faults_require_python_loop(self, tiny_scenario, tiny_platform,
-                                        tiny_cost_table):
-        plan = sample_fault_plan(seed=0, duration_ms=400.0, accelerators=2)
-        with pytest.raises(ValueError, match="loop='python'"):
-            _engine(tiny_scenario, tiny_platform, tiny_cost_table,
-                    loop="fast", faults=plan)
+def _normalized(records):
+    """Trace with request ids renumbered by order of first appearance."""
+    mapping: dict[int, int] = {}
+    return [
+        replace(record, request_id=mapping.setdefault(record.request_id, len(mapping)))
+        for record in records
+    ]
 
+
+def _assert_mode_parity(scenario, platform, cost_table, scheduler, plan,
+                        seed=0, **kwargs):
+    """Fast mode must match reference mode bit-for-bit under ``plan``."""
+    runs = {}
+    for mode in ("fast", "reference"):
+        tracer = Tracer()
+        engine = SimulationEngine(
+            scenario=scenario,
+            platform=platform,
+            scheduler=make_scheduler(scheduler),
+            duration_ms=400.0,
+            seed=seed,
+            cost_table=cost_table,
+            tracer=tracer,
+            mode=mode,
+            faults=plan,
+            **kwargs,
+        )
+        result = engine.run()
+        counts = (engine.requests_aborted, engine.requests_retried, engine.requests_failed)
+        runs[mode] = (result.to_dict(), _normalized(tracer.records), counts, engine,
+                      tracer.records)
+    label = f"{scenario.name} / {scheduler} / seed {seed} / {plan}"
+    fast, reference = runs["fast"], runs["reference"]
+    assert fast[0] == reference[0], f"result mismatch: {label}"
+    assert fast[1] == reference[1], f"trace mismatch: {label}"
+    assert fast[2] == reference[2], f"abort/retry/fail mismatch: {label}"
+    assert fast[3].events_processed == reference[3].events_processed
+    return fast[3], fast[4]
+
+
+class TestFaultParity:
+    """Fast mode runs faults on its one event loop, bit-for-bit with reference."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_sampled_plans_match_reference_mode(self, tiny_scenario, tiny_platform,
+                                                tiny_cost_table, kind, seed):
+        plan = sample_fault_plan(seed=seed, duration_ms=400.0, accelerators=2,
+                                 kinds=(kind,), faults_per_kind=2)
+        for scheduler in scheduler_names():
+            _assert_mode_parity(tiny_scenario, tiny_platform, tiny_cost_table,
+                                scheduler, plan, seed=seed)
+
+    @pytest.mark.parametrize("scheduler", ("fcfs_dynamic", "planaria", "dream_full"))
+    def test_elision_off_matches_reference_mode(self, tiny_scenario, tiny_platform,
+                                                tiny_cost_table, scheduler):
+        plan = sample_fault_plan(seed=1, duration_ms=400.0, accelerators=2)
+        _assert_mode_parity(tiny_scenario, tiny_platform, tiny_cost_table,
+                            scheduler, plan, seed=1, dispatch_elision=False)
+
+    @pytest.mark.parametrize("scheduler", ("fcfs_dynamic", "planaria", "dream_full"))
+    def test_kv_batch_matches_reference_mode(self, scheduler):
+        spec = GeneratorSpec(seed=3, resource_model="kv_batch")
+        scenario, platform, cost_table = generated_context(spec, 0, "4k_1ws_2os")
+        for seed in (0, 1):
+            plan = sample_fault_plan(seed=seed, duration_ms=400.0,
+                                     accelerators=len(platform.accelerators))
+            _assert_mode_parity(scenario, platform, cost_table, scheduler, plan,
+                                seed=seed, resource_model="kv_batch")
+
+    @pytest.mark.parametrize("scheduler", ("fcfs_dynamic", "dream_full"))
+    def test_back_to_back_outages_recover_before_reopening(
+            self, tiny_scenario, tiny_platform, tiny_cost_table, scheduler):
+        plan = (
+            FaultSpec(kind="platform_outage", start_ms=70.0, duration_ms=20.0),
+            FaultSpec(kind="platform_outage", start_ms=50.0, duration_ms=20.0),
+        )
+        _, trace = _assert_mode_parity(tiny_scenario, tiny_platform, tiny_cost_table,
+                                       scheduler, plan)
+        at_70 = [(r.event, r.request_id) for r in trace
+                 if r.time_ms == 70.0 and r.task_name == "__fault__"]
+        # Recovery (phase 0) of window 1 precedes activation of window 0.
+        assert at_70 == [("fault_end", -2), ("fault_begin", -1)]
+
+    @pytest.mark.parametrize("scheduler", ("fcfs_dynamic", "dream_full"))
+    def test_fault_at_time_zero_precedes_the_first_arrivals(
+            self, tiny_scenario, tiny_platform, tiny_cost_table, scheduler):
+        plan = (
+            FaultSpec(kind="accel_degrade", start_ms=0.0, duration_ms=30.0,
+                      acc_id=0, magnitude=0.5),
+            FaultSpec(kind="platform_outage", start_ms=0.0, duration_ms=10.0),
+        )
+        _, trace = _assert_mode_parity(tiny_scenario, tiny_platform, tiny_cost_table,
+                                       scheduler, plan)
+        assert [r.event for r in trace[:2]] == ["fault_begin", "fault_begin"]
+        assert trace[2].event == "arrival"
+
+    @pytest.mark.parametrize("scheduler", ("fcfs_dynamic", "planaria", "dream_full"))
+    def test_outage_at_a_pending_completion_swallows_it(
+            self, tiny_scenario, tiny_platform, tiny_cost_table, scheduler):
+        engine, tracer = _engine(tiny_scenario, tiny_platform, tiny_cost_table,
+                                 scheduler=scheduler)
+        engine.run()
+        completion = next(r for r in tracer.records
+                          if r.event == "layers_complete" and r.time_ms > 0.0)
+        plan = (FaultSpec(kind="platform_outage", start_ms=completion.time_ms,
+                          duration_ms=20.0),)
+        faulted, trace = _assert_mode_parity(tiny_scenario, tiny_platform,
+                                             tiny_cost_table, scheduler, plan)
+        # The outage wins the tie: the slot due at that instant is aborted,
+        # and its completion event is swallowed instead of completing it.
+        assert faulted.requests_aborted >= 1
+        at_start = [r.event for r in trace if r.time_ms == completion.time_ms]
+        assert "abort" in at_start
+        assert "layers_complete" not in at_start
+        assert not faulted._cancelled_slots
+
+
+class TestEngineFaults:
     def test_no_faults_is_bit_for_bit_identical(self, tiny_scenario, tiny_platform,
                                                 tiny_cost_table):
         engine, tracer = _engine(tiny_scenario, tiny_platform, tiny_cost_table)

@@ -1,20 +1,29 @@
 """Degradation without numpy: the vector kernel must fail loudly, not late.
 
-The container running this suite ships numpy, so these tests simulate a
-numpy-free install with an import-block fixture: a meta-path finder that
-refuses to import numpy, plus a reload of ``repro.hardware.vector_view``
-so its module-level probe re-runs and concludes ``HAVE_NUMPY = False``.
-The real numpy state is restored (and the module reloaded again) after
-each test, so the rest of the suite is unaffected.
+The environment running this suite ships numpy, so these tests simulate
+a numpy-free install with an import-block fixture: a meta-path finder that
+refuses to find numpy, plus a reload of ``repro.hardware.vector_view`` so
+its module-level ``importlib.util.find_spec`` probe re-runs and concludes
+``HAVE_NUMPY = False``.  The probe answers from ``sys.modules`` when numpy
+was already imported (earlier vector-kernel tests import it), so the
+fixture hides those entries for the duration of the test.  The real numpy
+state is restored (and the module reloaded again) after each test, so the
+rest of the suite is unaffected.
+
+numpy is loaded only when a vector kernel asks for it, so importing the
+package and its entry points must leave it unimported.
 """
 
 from __future__ import annotations
 
 import importlib
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.jobs import shared_context
 from repro.schedulers import make_scheduler
 from repro.sim import SimulationEngine
@@ -36,8 +45,8 @@ def numpy_absent(monkeypatch):
 
     blocker = _NumpyBlocker()
     sys.meta_path.insert(0, blocker)
-    # Drop cached numpy modules so the reload actually hits the blocker
-    # (monkeypatch restores every entry afterwards).
+    # Hide cached numpy modules so the find_spec probe actually consults
+    # the blocker (monkeypatch restores every entry afterwards).
     for name in [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")]:
         monkeypatch.delitem(sys.modules, name)
     try:
@@ -80,3 +89,24 @@ def test_python_kernel_still_runs_without_numpy(numpy_absent):
 def test_require_numpy_raises_and_returns(numpy_absent):
     with pytest.raises(RuntimeError, match="not\\s+installed"):
         numpy_absent.require_numpy()
+
+
+def test_importing_repro_does_not_load_numpy():
+    # A fresh interpreter: this process may already hold numpy from the
+    # vector-kernel tests.
+    script = (
+        "import sys\n"
+        "import repro, repro.experiments.harness, repro.fleet, repro.cli\n"
+        "from repro.hardware.vector_view import HAVE_NUMPY\n"
+        "print(HAVE_NUMPY, 'numpy' in sys.modules)\n"
+    )
+    src = Path(repro.__file__).resolve().parents[1]
+    output = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    # The probe still sees numpy (where it is installed) without loading it.
+    from repro.hardware.vector_view import HAVE_NUMPY
+
+    assert output == [str(HAVE_NUMPY), "False"]

@@ -108,7 +108,7 @@ class _EngineRunner:
     @staticmethod
     def run(scenario, platform, cost_table, scheduler="dream_full",
             resource_model="kv_batch", mode="fast", kernel="python",
-            loop="python", with_tracer=True, duration_ms=300.0):
+            loop=None, with_tracer=True, duration_ms=300.0):
         tracer = Tracer() if with_tracer else None
         engine = SimulationEngine(
             scenario=scenario,
