@@ -139,11 +139,12 @@ class Scheduler(abc.ABC):
     def schedule(self, view: SystemView) -> SchedulingDecision:
         """Decide what to dispatch (and optionally drop) right now.
 
-        ``view`` is only valid during this call: the engine reuses and
-        refreshes view objects between scheduling points, so do not store
-        the view (or its accelerator views / ``queue_depths``) on the
-        scheduler, and do not mutate anything reachable from it.  Derive
-        any state you need and keep that instead.
+        ``view`` is only valid during this call: fast mode passes the same
+        view objects (the ``SystemView`` and its accelerator views) at
+        every scheduling point and refreshes them in place, so do not
+        store the view (or its accelerator views / ``queue_depths``) on
+        the scheduler, and do not mutate anything reachable from it.
+        Derive any state you need and keep that instead.
         """
 
     def info(self) -> Mapping[str, object]:

@@ -113,10 +113,11 @@ class SystemView:
 
     Lifetime contract: a view (and everything reachable from it — the
     accelerator views, the request tuples, ``queue_depths``) is valid only
-    for the duration of the ``schedule()`` call it was passed to.  The
-    engine's fast path reuses and refreshes these objects between
-    scheduling points, so schedulers must neither retain them across calls
-    nor mutate them (treat ``queue_depths`` as read-only).
+    for the duration of the ``schedule()`` call it was passed to.  Fast
+    mode passes the *same* view object, with the same accelerator views
+    in the same tuple, at every scheduling point of a run and refreshes
+    their fields in place, so schedulers must neither retain them across
+    calls nor mutate them (treat ``queue_depths`` as read-only).
 
     Attributes:
         now_ms: current simulation time.

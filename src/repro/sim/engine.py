@@ -45,11 +45,9 @@ dispatch round:
   index, per-task buckets and a deadline min-heap (the loop notifies it
   on dispatch/progress via ``note_dispatched``/``note_progress``);
 * executors answer capacity queries from incremental caches, and the
-  loop memoizes each accelerator's frozen view keyed on the executor's
-  ``state_version`` (so dispatch rounds that did not touch an accelerator
-  reuse its view object); the :class:`~repro.sim.decisions.SystemView`
-  itself is memoized the same way and reused — with ``now_ms`` refreshed
-  in place — whenever none of its components changed;
+  loop passes one :class:`~repro.sim.decisions.SystemView` (with one
+  accelerator view per executor) to every scheduling point, rewriting in
+  place only the fields whose version counter moved;
 * cost queries hit the :class:`~repro.hardware.cost_table.CostTable`'s
   precomputed flat arrays.
 

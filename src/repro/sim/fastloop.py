@@ -40,14 +40,20 @@ Design
 * **Inlined transitions.**  The arrival → dispatch → progress → finalize
   transitions, the wake-hint elision predicate (fully unrolled against
   hoisted hint fields and the pool's raw pending list), same-timestamp
-  coalescing, the decision application (terminal state and capacity
-  checks inlined) and the memoized accelerator/system view refresh
-  (snapshot version guards inlined, parallel key arrays) all live in one
-  monomorphic ``run()`` with hot state in locals.  Free fractions are
-  ``executor._capacity - executor._allocated``, bit-identical to the
-  historical ``1.0 - _allocated`` at full capacity.  Scheduler lifecycle
-  hooks that are not overridden (the base-class no-ops) are detected
-  once and never called.
+  coalescing and the decision application (terminal state and capacity
+  checks inlined) all live in one monomorphic ``run()`` with hot state in
+  locals.  Free fractions are ``executor._capacity - executor._allocated``,
+  bit-identical to the historical ``1.0 - _allocated`` at full capacity.
+  Scheduler lifecycle hooks that are not overridden (the base-class
+  no-ops) are detected once and never called.
+* **One view, refreshed in place.**  The run builds one
+  :class:`~repro.sim.decisions.SystemView` and one
+  :class:`~repro.sim.decisions.AcceleratorView` per executor up front and
+  passes the same objects to every ``schedule()`` call.  At each
+  scheduling point only the fields that moved are rewritten through the
+  instance ``__dict__``: ``now_ms``; a pool snapshot when its version
+  counter moved; an accelerator's fields when its executor's
+  ``state_version`` moved.
 * **Compilable subset.**  Everything here is fully annotated, avoids
   closures and dynamic attributes on the hot path, and stays inside the
   mypyc-compilable subset; ``pip install .[compiled]`` plus the gated
@@ -86,9 +92,6 @@ _INF = float("inf")
 #: Mirrors ``engine._MAX_DISPATCH_ROUNDS`` (duplicated: this module must
 #: not import the engine, which imports it back lazily).
 _MAX_DISPATCH_ROUNDS = 64
-
-#: ``AcceleratorView.__new__`` — hoisted for the fast view constructor.
-_view_new = AcceleratorView.__new__
 
 
 class FastLoop:
@@ -172,25 +175,38 @@ class FastLoop:
         self.events_coalesced: int = 0
         self.peak_event_heap: int = 0
 
-        # Memoized view state: an accelerator's view is keyed on its
-        # executor's (state_version, busy_until), split into parallel arrays.
+        # One SystemView and one AcceleratorView per executor for the whole
+        # run, refreshed in place (through their ``__dict__``) at every
+        # scheduling point.  Versions start at -1 so the first refresh
+        # fills every field.
         n_exec = len(self.executors)
-        self.acc_views: List[Optional[Any]] = [None] * n_exec
+        accelerators = tuple(
+            AcceleratorView(
+                acc_id=executor.acc_id, free_fraction=0.0, busy_until_ms=0.0,
+                resident_model=None,
+            )
+            for executor in self.executors
+        )
+        self.acc_fields: List[Dict[str, Any]] = [acc.__dict__ for acc in accelerators]
         self.acc_view_versions: List[int] = [-1] * n_exec
-        self.acc_view_busys: List[float] = [0.0] * n_exec
-        self.acc_views_tuple: Any = None
-        self.view: Any = None
         self.execs_dirty: bool = True
         self.acc_all_busy: bool = False
+        self.view: Any = SystemView(
+            now_ms=0.0,
+            platform=engine.platform,
+            cost_table=engine.cost_table,
+            scenario=engine.scenario,
+            accelerators=accelerators,
+            pending_requests=(),
+            running_requests=(),
+        )
+        self.view_fields: Dict[str, Any] = self.view.__dict__
 
         # Inlined pool-snapshot memo guards (one int compare instead of a
         # method call per dispatch round when nothing changed).
         self.seen_pending_version: int = -1
         self.seen_running_version: int = -1
         self.seen_depth_version: int = -1
-        self.pending_snapshot: Any = None
-        self.running_snapshot: Any = None
-        self.depth_snapshot: Any = None
 
         for i in range(n):
             task = self.slot_tasks[i]
@@ -542,108 +558,67 @@ class FastLoop:
         self.dispatch_rounds = dispatch_rounds
 
     # ------------------------------------------------------------------ #
-    # memoized views
+    # views refreshed in place
     # ------------------------------------------------------------------ #
-    def _accelerator_views(self, now: float) -> Any:
-        """All accelerator views, reusing cached view objects and their tuple.
+    def _accelerator_views(self, now: float) -> None:
+        """Refresh the accelerator views in place (one per executor).
 
-        A view is rebuilt only when its executor's ``state_version`` moved
-        (start, complete, or a fault changing capacity or latency); if only
-        the idle-time clock advanced, ``busy_until_ms`` is refreshed in
-        place (schedulers never retain views across scheduling points).
-        When no executor was touched since the last call and every
-        accelerator is busy, no field can have moved, so the cached tuple
-        is returned without a scan.
+        Every scheduling point sees the same view objects in the same
+        tuple.  A view's fields are rewritten only when its executor's
+        ``state_version`` moved (start, complete, or a fault changing
+        capacity or latency); an idle accelerator's ``busy_until_ms``
+        follows the clock.  When no executor was touched since the last
+        call and every accelerator is busy, no field can have moved, so
+        nothing is scanned.
         """
-        if not self.execs_dirty and self.acc_all_busy and self.acc_views_tuple is not None:
-            return self.acc_views_tuple
-        views = self.acc_views
+        if not self.execs_dirty and self.acc_all_busy:
+            return
+        acc_fields = self.acc_fields
         versions = self.acc_view_versions
-        busys = self.acc_view_busys
-        replaced = False
         all_busy = True
         executors = self.executors
         for index in range(len(executors)):
             executor = executors[index]
+            fields = acc_fields[index]
             if executor.slots:
-                busy: float = executor._busy_until
+                fields["busy_until_ms"] = executor._busy_until
             else:
-                busy = now
+                fields["busy_until_ms"] = now
                 all_busy = False
             version: int = executor.state_version
-            cached = views[index]
-            if cached is not None and versions[index] == version:
-                if busys[index] != busy:
-                    object.__setattr__(cached, "busy_until_ms", busy)
-                    busys[index] = busy
+            if versions[index] == version:
                 continue
             free: float = executor._capacity - executor._allocated
             if free < 0.0:
                 free = 0.0
-            # Bypass the frozen dataclass __init__ (object.__setattr__ per
-            # field); field values are identical, so views are bit-for-bit.
-            fresh = _view_new(AcceleratorView)
-            fresh.__dict__.update(
-                acc_id=executor.acc_id,
-                free_fraction=free,
-                busy_until_ms=busy,
-                resident_model=executor.resident_model,
-                running_tasks=executor.running_tasks(),
-            )
-            views[index] = fresh
+            fields["free_fraction"] = free
+            fields["resident_model"] = executor.resident_model
+            fields["running_tasks"] = executor.running_tasks()
             versions[index] = version
-            busys[index] = busy
-            replaced = True
         self.execs_dirty = False
         self.acc_all_busy = all_busy
-        if replaced or self.acc_views_tuple is None:
-            self.acc_views_tuple = tuple(views)
-        return self.acc_views_tuple
 
     def _system_view(self, now: float) -> Any:
-        engine = self.engine
+        """The run's one SystemView, refreshed in place for ``now``."""
         pool = self.pool
-        accelerators = self._accelerator_views(now)
-        # Inlined snapshot memo guards: one int compare per component when
+        fields = self.view_fields
+        fields["now_ms"] = now
+        self._accelerator_views(now)
+        # Snapshot version guards: one int compare per component when
         # nothing changed, the pool's own memoized builder otherwise.
         version: int = pool._pending_version
         if version != self.seen_pending_version:
-            self.pending_snapshot = pool.pending_snapshot()
+            fields["pending_requests"] = pool.pending_snapshot()
             self.seen_pending_version = version
-        pending = self.pending_snapshot
         version = pool._running_version
         if version != self.seen_running_version:
-            self.running_snapshot = pool.running_snapshot()
+            fields["running_requests"] = pool.running_snapshot()
             self.seen_running_version = version
-        running = self.running_snapshot
         version = pool._depth_version
         if version != self.seen_depth_version:
-            self.depth_snapshot = pool.queue_depths(engine._task_names)
+            fields["queue_depths"] = pool.queue_depths(self.engine._task_names)
             self.seen_depth_version = version
-        depths = self.depth_snapshot
-        view = self.view
-        if (
-            view is not None
-            and view.accelerators is accelerators
-            and view.pending_requests is pending
-            and view.running_requests is running
-            and view.queue_depths is depths
-        ):
-            if view.now_ms != now:
-                object.__setattr__(view, "now_ms", now)
-            return view
-        view = SystemView(
-            now_ms=now,
-            platform=engine.platform,
-            cost_table=engine.cost_table,
-            scenario=engine.scenario,
-            accelerators=accelerators,
-            pending_requests=pending,
-            running_requests=running,
-            queue_depths=depths,
-        )
-        self.view = view
-        return view
+        return self.view
 
 
 def _plan_name(entry: Any) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.models.graph import ModelGraph
@@ -39,15 +38,6 @@ class RequestState(enum.Enum):
             RequestState.EXPIRED,
             RequestState.FAILED,
         )
-
-
-@dataclass(slots=True)
-class CompletedLayer:
-    """Record of one executed layer (the paper's Stack_task entries)."""
-
-    layer_index: int
-    acc_id: int
-    completion_ms: float
 
 
 class InferenceRequest:
@@ -91,7 +81,8 @@ class InferenceRequest:
         self.path: list[int] = model.sample_execution_path(self._rng)
         self.next_position: int = 0
         self.state: RequestState = RequestState.PENDING
-        self.completed_layers: list[CompletedLayer] = []
+        # Accelerator of the most recent executed layer (Stack_task.acc).
+        self.last_acc_id: Optional[int] = None
         self.last_progress_ms: float = arrival_ms
         self.completion_ms: Optional[float] = None
         self.energy_mj: float = 0.0
@@ -158,9 +149,7 @@ class InferenceRequest:
 
     def previous_accelerator(self) -> Optional[int]:
         """Accelerator that executed the most recent layer (Stack_task.acc)."""
-        if not self.completed_layers:
-            return None
-        return self.completed_layers[-1].acc_id
+        return self.last_acc_id
 
     # ------------------------------------------------------------------ #
     # state transitions (driven by the simulation engine)
@@ -190,10 +179,7 @@ class InferenceRequest:
                     f"request {self.request_id}: completed layers {layer_indices} do not "
                     f"match the expected path prefix {expected}"
                 )
-        for layer_index in layer_indices:
-            self.completed_layers.append(
-                CompletedLayer(layer_index=layer_index, acc_id=acc_id, completion_ms=completion_ms)
-            )
+        self.last_acc_id = acc_id
         self.next_position += len(layer_indices)
         self.last_progress_ms = completion_ms
         if self.next_position >= len(self.path):
@@ -272,7 +258,7 @@ class InferenceRequest:
         Only legal before any layer has executed; the execution path is
         re-sampled from the new variant's dynamic behaviour.
         """
-        if self.next_position != 0 or self.completed_layers:
+        if self.next_position != 0:
             raise ValueError(
                 f"request {self.request_id}: cannot switch variant after execution started"
             )

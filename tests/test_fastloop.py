@@ -6,26 +6,31 @@ result/trace parity against reference mode is asserted by the sweep in
 tests cover everything around it — the loop registry, the engine counters
 the retired dict/heap fast path produced (pinned), scheduler lifecycle
 hooks firing identically to reference mode, the streaming heap bound, and
-clean degradation when the mypyc extension is absent.
+clean degradation when the mypyc extension is absent.  A view-parity
+test pins what ``schedule()`` sees: the same field values as reference
+mode at every call, handed over in one ``SystemView`` refreshed in place.
 """
 
 from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import fields
 
 import pytest
 
-from repro.experiments.jobs import shared_context
+from repro.experiments.jobs import generated_context, shared_context
 from repro.schedulers import make_scheduler, scheduler_names
 from repro.schedulers.fcfs import DynamicFcfsScheduler
 from repro.sim import (
     ENGINE_LOOPS,
+    FaultSpec,
     SimulationEngine,
     available_loops,
     fastloop_is_compiled,
     sample_fault_plan,
 )
+from repro.workloads import GeneratorSpec
 
 _PLATFORM = "4k_1ws_2os"
 
@@ -201,3 +206,90 @@ def test_interpreted_fastloop_reports_not_compiled():
     if not compiled:
         with pytest.raises(RuntimeError, match="mypyc"):
             _engine(make_scheduler("fcfs_dynamic"), "compiled")
+
+
+def _request_values(request):
+    return (
+        request.task_name, request.frame_id, request.model_name, request.state,
+        request.next_position, tuple(request.path), request.last_progress_ms,
+        request.previous_accelerator(),
+    )
+
+
+def _view_values(view, engine):
+    """Every field of the view (and of each accelerator view), by value.
+
+    The static fields are compared by identity with the engine's own
+    objects (reference mode wraps its cost table in a reference twin).
+    """
+    values = []
+    for field in fields(view):
+        value = getattr(view, field.name)
+        if field.name in ("platform", "cost_table", "scenario"):
+            value = value is getattr(engine, field.name)
+        elif field.name == "accelerators":
+            value = tuple(
+                tuple(getattr(acc, acc_field.name) for acc_field in fields(acc))
+                for acc in value
+            )
+        elif field.name in ("pending_requests", "running_requests"):
+            value = tuple(_request_values(request) for request in value)
+        elif field.name == "queue_depths":
+            value = tuple(value.items())
+        values.append((field.name, value))
+    return values
+
+
+def _recorded_views(mode, scenario, platform, cost_table, scheduler_name, **kwargs):
+    """Run one engine, recording the view of every ``schedule()`` call."""
+    scheduler = make_scheduler(scheduler_name)
+    schedule = scheduler.schedule
+    engine = SimulationEngine(
+        scenario=scenario, platform=platform, scheduler=scheduler, duration_ms=250.0,
+        cost_table=cost_table, mode=mode, dispatch_elision=False, **kwargs,
+    )
+    calls = []
+
+    def recording_schedule(view):
+        calls.append((view, view.accelerators, _view_values(view, engine)))
+        return schedule(view)
+
+    scheduler.schedule = recording_schedule
+    engine.run()
+    return calls
+
+
+def _view_cases():
+    cases = []
+    for scheduler_name in scheduler_names():
+        for scenario_name in ("ar_call", "vr_gaming"):
+            cases.append(pytest.param(scenario_name, scheduler_name, {},
+                                      id=f"{scenario_name}-{scheduler_name}"))
+        cases.append(pytest.param("ar_call", scheduler_name, {"faults": (
+            FaultSpec(kind="accel_degrade", start_ms=40.0, duration_ms=80.0,
+                      acc_id=0, magnitude=0.5),
+            FaultSpec(kind="platform_outage", start_ms=100.0, duration_ms=30.0),
+        )}, id=f"faulted-{scheduler_name}"))
+        cases.append(pytest.param("kv_batch", scheduler_name, {"resource_model": "kv_batch"},
+                                  id=f"kv_batch-{scheduler_name}"))
+    return cases
+
+
+@pytest.mark.parametrize("scenario_name, scheduler_name, kwargs", _view_cases())
+def test_fast_mode_refreshes_one_view_with_reference_values(scenario_name, scheduler_name,
+                                                            kwargs):
+    """Fast mode passes one SystemView, refreshed in place, whose field values
+    equal reference mode's fresh view at every ``schedule()`` call."""
+    if scenario_name == "kv_batch":
+        context = generated_context(GeneratorSpec(seed=3, resource_model="kv_batch"), 0,
+                                    _PLATFORM)
+    else:
+        context = shared_context(scenario_name, _PLATFORM, 0.5)
+    fast = _recorded_views("fast", *context, scheduler_name, **kwargs)
+    reference = _recorded_views("reference", *context, scheduler_name, **kwargs)
+    assert len(fast) == len(reference) > 0
+    for index, (fast_call, reference_call) in enumerate(zip(fast, reference)):
+        assert fast_call[2] == reference_call[2], f"view differs at call {index}"
+    view, accelerators = fast[0][0], fast[0][1]
+    assert all(call[0] is view for call in fast)
+    assert all(call[1] is accelerators for call in fast)

@@ -32,11 +32,22 @@ class TestRequestLifecycle:
 
     def test_record_layers_advances(self, tiny_scenario):
         request = _request(tiny_scenario)
+        assert request.previous_accelerator() is None
         request.mark_running()
         request.record_layers([0], acc_id=0, completion_ms=5.0)
         assert request.next_position == 1
         assert request.previous_accelerator() == 0
         assert request.last_progress_ms == 5.0
+        # An abort drops the interrupted slot's layers but keeps the record.
+        request.mark_running()
+        request.mark_aborted(now=6.0)
+        assert request.previous_accelerator() == 0
+        # A multi-layer block reports the accelerator it ran on.
+        request.mark_running()
+        request.record_layers([1, 2], acc_id=1, completion_ms=9.0)
+        assert request.next_position == 3
+        assert request.previous_accelerator() == 1
+        assert request.state is RequestState.COMPLETED
 
     def test_record_wrong_layers_rejected(self, tiny_scenario):
         request = _request(tiny_scenario)
@@ -80,6 +91,8 @@ class TestRequestLifecycle:
         request.record_layers([0], acc_id=0, completion_ms=1.0)
         with pytest.raises(ValueError):
             request.switch_variant(tiny_supernet.default_variant)
+        assert request.model_name == "super_light"
+        assert request.previous_accelerator() == 0
 
     def test_queue_time(self, tiny_scenario):
         request = _request(tiny_scenario, arrival=10.0, deadline=100.0)
