@@ -144,13 +144,12 @@ class SmartFrameDropEngine:
     # ------------------------------------------------------------------ #
     def minimum_to_go_ms(self, request: InferenceRequest) -> float:
         """Best-case remaining latency (per-layer best accelerator, no switches)."""
+        position = request.next_position
         cached = self._to_go_cache.get(request.request_id)
-        if cached is not None and cached[0] == request.next_position:
+        if cached is not None and cached[0] == position:
             return cached[1]
-        value = self.cost_table.remaining_best_latency(
-            request.model_name, request.remaining_path()
-        )
-        self._to_go_cache[request.request_id] = (request.next_position, value)
+        value = self.cost_table.best_to_go(request.model.name, request.path, position)
+        self._to_go_cache[request.request_id] = (position, value)
         return value
 
     def expects_violation(self, request: InferenceRequest, now_ms: float) -> bool:
@@ -209,14 +208,14 @@ class SmartFrameDropEngine:
             # Condition-2 count — stops at two.  Skipped work is limited to
             # pure memo warming, so the selected drop is identical.
             to_go_cache = self._to_go_cache
-            remaining_best = self.cost_table.remaining_best_latency
+            best_to_go = self.cost_table.best_to_go
             for request in pending:
                 cached = to_go_cache.get(request.request_id)
                 position = request.next_position
                 if cached is not None and cached[0] == position:
                     to_go = cached[1]
                 else:
-                    to_go = remaining_best(request.model_name, request.remaining_path())
+                    to_go = best_to_go(request.model.name, request.path, position)
                     to_go_cache[request.request_id] = (position, to_go)
                 if to_go > request.deadline_ms - now_ms:     # Condition 1
                     expected_violations += 1

@@ -66,13 +66,12 @@ class MapScoreEngine:
     # ------------------------------------------------------------------ #
     def to_go_ms(self, request: InferenceRequest) -> float:
         """ToGo: remaining processing time averaged across accelerators."""
+        position = request.next_position
         cached = self._to_go_cache.get(request.request_id)
-        if cached is not None and cached[0] == request.next_position:
+        if cached is not None and cached[0] == position:
             return cached[1]
-        value = self.cost_table.remaining_average_latency(
-            request.model_name, request.remaining_path()
-        )
-        self._to_go_cache[request.request_id] = (request.next_position, value)
+        value = self.cost_table.average_to_go(request.model.name, request.path, position)
+        self._to_go_cache[request.request_id] = (position, value)
         return value
 
     def forget(self, request_id: int) -> None:

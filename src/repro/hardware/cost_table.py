@@ -23,9 +23,13 @@ precomputes them once at build time into flat per-model arrays:
   non-zero start are only ulp-accurate and are not used on the parity
   path),
 * lazily memoized per-``pe_fraction`` effective-latency arrays (spatial
-  fission scales only the compute-bound component), and
+  fission scales only the compute-bound component),
 * memoized context-switch latency/energy per (model, previous model,
-  accelerator) triple.
+  accelerator) triple, and
+* lazily memoized path-tail tables per (model, sampled path): entry ``k``
+  holds the remaining average / best latency from path position ``k``,
+  so ToGo and ``minimum_to_go`` cost one index per layer instead of a
+  re-sum of the remaining path.
 
 Every precomputed value is produced by the *same arithmetic expression* as
 the scan it replaces, so optimized and reference simulations agree
@@ -38,6 +42,7 @@ against.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -75,6 +80,10 @@ class ModelCostSummary:
     best_case_energy_mj: float
     worst_case_energy_mj: float
     activation_footprint_bytes: int
+
+
+#: Placeholder of a path-tail entry not looked up yet (see _path_tails).
+_NOT_LOOKED_UP = float("nan")
 
 
 def _prefix_sums(values: Sequence[float]) -> tuple[float, ...]:
@@ -185,6 +194,8 @@ class CostTable:
         self._effective_cache: dict[
             tuple[str, int, float], tuple[tuple[float, ...], tuple[float, ...]]
         ] = {}
+        # (model, sampled path) -> (average, best) to-go by path position.
+        self._tail_cache: dict[tuple[str, tuple[int, ...]], tuple[array, array]] = {}
         # Lazily built NumPy projection (see repro.hardware.vector_view).
         self._vector_view = None
 
@@ -259,6 +270,7 @@ class CostTable:
         view._arrays = self._arrays
         view._switch_cache = {}
         view._effective_cache = {}
+        view._tail_cache = {}
         view._vector_view = None
         return view
 
@@ -414,8 +426,54 @@ class CostTable:
 
         Used by the smart frame drop engine (Section 4.2.1, Condition 1).
         """
+        if not layer_indices:
+            return 0.0
         best = self._arrays[model_name].best_latency
         return sum(map(best.__getitem__, layer_indices))
+
+    def _path_tails(self, model_name: str, path: Sequence[int]) -> tuple[array, array]:
+        """The (average, best) to-go tables of one sampled path.
+
+        Memoized per (model, path) and shared by every request that sampled
+        the same path: two arrays of ``len(path) + 1`` doubles, indexed by
+        path position.  An entry is filled by the first lookup at its
+        position (NaN marks one not looked up yet), so a path never costs
+        more sums than the per-call scans it replaces, even on a table that
+        serves a single short run.
+        """
+        key = (model_name, tuple(path))
+        tails = self._tail_cache.get(key)
+        if tails is None:
+            unset = array("d", (_NOT_LOOKED_UP,)) * (len(path) + 1)
+            tails = (unset, array("d", unset))
+            self._tail_cache[key] = tails
+        return tails
+
+    def average_to_go(self, model_name: str, path: Sequence[int], position: int) -> float:
+        """ToGo of a request at ``position`` on ``path``, memoized per path.
+
+        The same float as ``remaining_average_latency(model_name,
+        path[position:])``, which computes it on the first lookup (prefix
+        differences would not be, least of all under 3.12's compensated
+        ``sum``); every later lookup is an index.
+        """
+        tail = self._path_tails(model_name, path)[0]
+        value = tail[position]
+        if value != value:  # NaN: the first lookup at this position
+            value = tail[position] = self.remaining_average_latency(model_name, path[position:])
+        return value
+
+    def best_to_go(self, model_name: str, path: Sequence[int], position: int) -> float:
+        """minimum_to_go of a request at ``position`` on ``path``, memoized per path.
+
+        The same float as ``remaining_best_latency(model_name,
+        path[position:])``; see :meth:`average_to_go`.
+        """
+        tail = self._path_tails(model_name, path)[1]
+        value = tail[position]
+        if value != value:  # NaN: the first lookup at this position
+            value = tail[position] = self.remaining_best_latency(model_name, path[position:])
+        return value
 
     def context_switch_energy(
         self, new_model: str, previous_model: str | None, acc_id: int
@@ -517,7 +575,15 @@ class ReferenceCostTable(CostTable):
     def remaining_best_latency(
         self, model_name: str, layer_indices: Sequence[int]
     ) -> float:
+        if not layer_indices:
+            return 0.0
         return sum(self.best_latency(model_name, idx) for idx in layer_indices)
+
+    def average_to_go(self, model_name: str, path: Sequence[int], position: int) -> float:
+        return self.remaining_average_latency(model_name, path[position:])
+
+    def best_to_go(self, model_name: str, path: Sequence[int], position: int) -> float:
+        return self.remaining_best_latency(model_name, path[position:])
 
     def full_average_latency(self, model_name: str) -> float:
         return self.remaining_average_latency(

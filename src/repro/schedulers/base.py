@@ -176,12 +176,12 @@ class Scheduler(abc.ABC):
     def remaining_best_latency_ms(self, request: InferenceRequest) -> float:
         """minimum_to_go: remaining latency on the per-layer best accelerators."""
         cost_table = self._require_bound()
-        return cost_table.remaining_best_latency(request.model_name, request.remaining_path())
+        return cost_table.best_to_go(request.model.name, request.path, request.next_position)
 
     def remaining_average_latency_ms(self, request: InferenceRequest) -> float:
         """ToGo: remaining latency averaged across accelerators (Algorithm 1)."""
         cost_table = self._require_bound()
-        return cost_table.remaining_average_latency(request.model_name, request.remaining_path())
+        return cost_table.average_to_go(request.model.name, request.path, request.next_position)
 
     def slack_ms(self, request: InferenceRequest, now_ms: float) -> float:
         """Slack: time left until the request's deadline."""

@@ -73,13 +73,12 @@ class PlanariaScheduler(Scheduler):
     def _pe_agnostic_remaining_ms(self, request: InferenceRequest) -> float:
         """Remaining-work estimate by PE count only (no dataflow preference)."""
         cost_table = self._require_bound()
+        position = request.next_position
         cached = self._remaining_cache.get(request.request_id)
-        if cached is not None and cached[0] == request.next_position:
+        if cached is not None and cached[0] == position:
             return cached[1]
-        value = cost_table.remaining_average_latency(
-            request.model_name, request.remaining_path()
-        )
-        self._remaining_cache[request.request_id] = (request.next_position, value)
+        value = cost_table.average_to_go(request.model.name, request.path, position)
+        self._remaining_cache[request.request_id] = (position, value)
         return value
 
     def _slack_score(self, request: InferenceRequest, now_ms: float) -> float:

@@ -40,10 +40,11 @@ from typing import Optional
 from repro.hardware.accelerator import Accelerator
 from repro.hardware.cost_table import CostTable
 from repro.sim.decisions import Assignment
-from repro.sim.request import InferenceRequest
+from repro.sim.request import InferenceRequest, RequestState
 from repro.sim.resource_models import ResourceModel
 
 _SLOT_COUNTER = itertools.count()
+_RUNNING = RequestState.RUNNING
 
 
 @dataclass(slots=True)
@@ -96,6 +97,8 @@ class AcceleratorExecutor:
         resource_model: Optional[ResourceModel] = None,
     ) -> None:
         self.accelerator = accelerator
+        #: The accelerator's id within the platform.
+        self.acc_id: int = accelerator.acc_id
         self.cost_table = cost_table
         self.fast = fast
         self.resource_model = resource_model
@@ -126,11 +129,6 @@ class AcceleratorExecutor:
     # ------------------------------------------------------------------ #
     # capacity queries
     # ------------------------------------------------------------------ #
-    @property
-    def acc_id(self) -> int:
-        """The accelerator's id within the platform."""
-        return self.accelerator.acc_id
-
     @property
     def allocated_fraction(self) -> float:
         """Sum of PE fractions of all in-flight assignments."""
@@ -197,77 +195,114 @@ class AcceleratorExecutor:
         scaled_compute = cost.compute_ms / pe_fraction
         return max(scaled_compute, cost.memory_ms) + overhead
 
-    def _price_layers(
-        self, request: InferenceRequest, layer_indices: list[int], pe_fraction: float
-    ) -> tuple[float, float, float]:
-        """(latency_ms, energy_mj, worst_case_energy_mj) of a layer range.
-
-        Fast path: flat-array lookups; a full-model dispatch starting at the
-        first path position is priced O(1) from the prefix-sum arrays (a
-        complete path visits layers ``0..n-1`` in order, so the prefix value
-        equals sequential accumulation bit-for-bit).  The reference path
-        keeps the historical per-layer method calls.
-        """
-        model_name = request.model_name
-        acc_id = self.acc_id
-        if not self.fast:
-            duration = 0.0
-            energy = 0.0
-            worst = 0.0
-            for layer_index in layer_indices:
-                duration += self.effective_layer_latency_ms(model_name, layer_index, pe_fraction)
-                energy += self.cost_table.energy(model_name, layer_index, acc_id)
-                worst += self.cost_table.worst_layer_energy(model_name, layer_index)
-            return duration, energy, worst
-
-        arrays = self.cost_table.layer_arrays(model_name)
-        eff, eff_prefix = self.cost_table.effective_latency_table(model_name, acc_id, pe_fraction)
-        count = len(layer_indices)
-        if count == 1:
-            # Layer-granularity dispatch: three O(1) lookups (accumulating
-            # from 0.0 is exact, so this matches the loop bit-for-bit).
-            layer_index = layer_indices[0]
-            return (
-                eff[layer_index],
-                arrays.energy[acc_id][layer_index],
-                arrays.worst_energy[layer_index],
-            )
-        if request.next_position == 0 and count == arrays.num_layers:
-            # Complete path from layer 0: O(1) prefix-sum pricing.
-            return (
-                eff_prefix[count],
-                arrays.energy_prefix[acc_id][count],
-                arrays.worst_energy_prefix[count],
-            )
-        energy_arr = arrays.energy[acc_id]
-        worst_arr = arrays.worst_energy
-        duration = 0.0
-        energy = 0.0
-        worst = 0.0
-        for layer_index in layer_indices:
-            duration += eff[layer_index]
-            energy += energy_arr[layer_index]
-            worst += worst_arr[layer_index]
-        return duration, energy, worst
-
     def start(self, assignment: Assignment, now: float) -> ExecutionRecord:
         """Begin executing an assignment; returns the created slot record.
 
+        Fast mode runs this one straight-line body: flat-array pricing (a
+        whole path from layer 0 without a context switch is priced O(1)
+        from prefix sums, which equal the sequential accumulation
+        bit-for-bit), the request's state set directly after the terminal
+        guard :meth:`InferenceRequest.mark_running` enforces, and every
+        check done before any state moves.
+
         Raises:
-            ValueError: if the accelerator does not have enough free PEs or
-                the request has no remaining layers.
+            ValueError: if the accelerator does not have enough free PEs,
+                the request has no remaining layers, or it is terminal.
         """
-        request = assignment.request
         if not self.default_resources:
             return self._start_modelled(assignment, now)
-        # Inlined can_accept: one attribute read instead of three chained
-        # property calls on the per-dispatch hot path (fast mode only).
-        if self.fast:
-            free = self._capacity - self._allocated
-            acceptable = assignment.pe_fraction <= (free if free > 0.0 else 0.0) + 1e-9
+        if not self.fast:
+            return self._start_reference(assignment, now)
+        request = assignment.request
+        pe_fraction = assignment.pe_fraction
+        free = self._capacity - self._allocated
+        if pe_fraction > (free if free > 0.0 else 0.0) + 1e-9:
+            raise ValueError(
+                f"accelerator {self.acc_id} has only {self.free_fraction:.2f} free, "
+                f"cannot accept pe_fraction={pe_fraction}"
+            )
+        position = request.next_position
+        layer_indices = request.path[position:position + assignment.layer_count]
+        if not layer_indices:
+            raise ValueError(
+                f"request {request.request_id} has no remaining layers to schedule"
+            )
+        if request.state.is_terminal:
+            raise ValueError(
+                f"request {request.request_id} is already terminal ({request.state.value})"
+            )
+
+        model_name = request.model.name
+        acc_id = self.acc_id
+        cost_table = self.cost_table
+        resident = self.resident_model
+        switch = resident is not None and resident != model_name
+        if switch:
+            switch_latency = cost_table.context_switch_latency(model_name, resident, acc_id)
+            switch_energy = cost_table.context_switch_energy(model_name, resident, acc_id)
+            self.context_switches += 1
         else:
-            acceptable = self.can_accept(assignment.pe_fraction)
-        if not acceptable:
+            switch_latency = 0.0
+            switch_energy = 0.0
+
+        # Pricing accumulates from the switch costs (from 0.0 without a
+        # switch, which is exact), like the historical per-layer loop.
+        arrays = cost_table.layer_arrays(model_name)
+        eff, eff_prefix = cost_table.effective_latency_table(model_name, acc_id, pe_fraction)
+        count = len(layer_indices)
+        if count == 1:
+            layer_index = layer_indices[0]
+            duration = switch_latency + eff[layer_index]
+            energy = switch_energy + arrays.energy[acc_id][layer_index]
+            worst_energy = arrays.worst_energy[layer_index]
+        elif (
+            position == 0 and count == arrays.num_layers
+            and switch_latency == 0.0 and switch_energy == 0.0
+        ):
+            duration = eff_prefix[count]
+            energy = arrays.energy_prefix[acc_id][count]
+            worst_energy = arrays.worst_energy_prefix[count]
+        else:
+            energy_arr = arrays.energy[acc_id]
+            worst_arr = arrays.worst_energy
+            duration = switch_latency
+            energy = switch_energy
+            worst_energy = 0.0
+            for layer_index in layer_indices:
+                duration += eff[layer_index]
+                energy += energy_arr[layer_index]
+                worst_energy += worst_arr[layer_index]
+        if self._latency_factor != 1.0:
+            # transient_stall window: work runs slower but burns the same
+            # energy (throttling, not extra computation).
+            duration *= self._latency_factor
+
+        end_ms = now + duration
+        slot = RunningSlot(
+            next(_SLOT_COUNTER), request, layer_indices, pe_fraction, now, end_ms, energy
+        )
+        slots = self.slots
+        slots[slot.slot_id] = slot
+        self.resident_model = model_name
+        self.state_version += 1
+        self._allocated += pe_fraction
+        if end_ms > self._busy_until or len(slots) == 1:
+            self._busy_until = end_ms
+
+        request.state = _RUNNING
+        request.energy_mj += energy
+        request.worst_case_energy_mj += worst_energy + switch_energy
+
+        self.total_energy_mj += energy
+        self.total_busy_pe_ms += duration * pe_fraction
+        self.layers_executed += count
+
+        return ExecutionRecord(slot, switch, switch_latency, switch_energy)
+
+    def _start_reference(self, assignment: Assignment, now: float) -> ExecutionRecord:
+        """The historical :meth:`start`: per-call scans and per-layer method calls."""
+        request = assignment.request
+        if not self.can_accept(assignment.pe_fraction):
             raise ValueError(
                 f"accelerator {self.acc_id} has only {self.free_fraction:.2f} free, "
                 f"cannot accept pe_fraction={assignment.pe_fraction}"
@@ -293,43 +328,17 @@ class AcceleratorExecutor:
             )
             self.context_switches += 1
 
-        if switch_latency == 0.0 and switch_energy == 0.0:
-            # Accumulating from 0.0 is exact, so the prefix-sum fast path in
-            # _price_layers stays bit-for-bit with the historical loop that
-            # started from the (zero) switch costs.
-            duration, energy, worst_energy = self._price_layers(
-                request, layer_indices, assignment.pe_fraction
+        duration = switch_latency
+        energy = switch_energy
+        worst_energy = 0.0
+        for layer_index in layer_indices:
+            duration += self.effective_layer_latency_ms(
+                request.model_name, layer_index, assignment.pe_fraction
             )
-        else:
-            duration = switch_latency
-            energy = switch_energy
-            worst_energy = 0.0
-            if self.fast:
-                arrays = self.cost_table.layer_arrays(request.model_name)
-                eff, _ = self.cost_table.effective_latency_table(
-                    request.model_name, self.acc_id, assignment.pe_fraction
-                )
-                energy_arr = arrays.energy[self.acc_id]
-                worst_arr = arrays.worst_energy
-                for layer_index in layer_indices:
-                    duration += eff[layer_index]
-                    energy += energy_arr[layer_index]
-                    worst_energy += worst_arr[layer_index]
-            else:
-                for layer_index in layer_indices:
-                    duration += self.effective_layer_latency_ms(
-                        request.model_name, layer_index, assignment.pe_fraction
-                    )
-                    energy += self.cost_table.energy(
-                        request.model_name, layer_index, self.acc_id
-                    )
-                    worst_energy += self.cost_table.worst_layer_energy(
-                        request.model_name, layer_index
-                    )
+            energy += self.cost_table.energy(request.model_name, layer_index, self.acc_id)
+            worst_energy += self.cost_table.worst_layer_energy(request.model_name, layer_index)
 
         if self._latency_factor != 1.0:
-            # transient_stall window: work runs slower but burns the same
-            # energy (throttling, not extra computation).
             duration *= self._latency_factor
 
         slot = RunningSlot(

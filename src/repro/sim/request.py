@@ -32,12 +32,17 @@ class RequestState(enum.Enum):
     @property
     def is_terminal(self) -> bool:
         """True once the request will never execute again."""
-        return self in (
-            RequestState.COMPLETED,
-            RequestState.DROPPED,
-            RequestState.EXPIRED,
-            RequestState.FAILED,
-        )
+        return self in _TERMINAL_STATES
+
+
+# A module constant: looking members up on the enum class costs ~0.1 µs
+# each, and the guard runs once per dispatched layer.
+_TERMINAL_STATES = (
+    RequestState.COMPLETED,
+    RequestState.DROPPED,
+    RequestState.EXPIRED,
+    RequestState.FAILED,
+)
 
 
 class InferenceRequest:

@@ -1,8 +1,13 @@
 """Unit tests for the offline cost table."""
 
+import random
+
 import pytest
 
-from repro.hardware import CostTable
+from repro.hardware import CostTable, make_platform
+from repro.hardware.platform import all_platform_names
+from repro.models import Supernet
+from repro.models.zoo import MODEL_BUILDERS
 
 
 class TestLookups:
@@ -54,8 +59,10 @@ class TestAggregates:
         assert remaining == pytest.approx(expected)
 
     def test_remaining_empty_is_zero(self, tiny_cost_table):
-        assert tiny_cost_table.remaining_average_latency("alpha", []) == 0.0
-        assert tiny_cost_table.remaining_best_latency("alpha", []) == 0.0
+        for table in (tiny_cost_table, tiny_cost_table.reference_view()):
+            for fn in (table.remaining_average_latency, table.remaining_best_latency):
+                value = fn("alpha", [])
+                assert value == 0.0 and type(value) is float, fn
 
     def test_worst_layer_energy_is_max(self, tiny_cost_table):
         worst = tiny_cost_table.worst_layer_energy("alpha", 0)
@@ -206,3 +213,67 @@ class TestReferenceViewEquivalence:
             assert arrays.worst_energy_prefix[k] == acc
             acc += value
         assert arrays.worst_energy_prefix[len(arrays.worst_energy)] == acc
+
+
+def _zoo_graphs():
+    """Every zoo model, Supernets expanded into all their variants."""
+    graphs = []
+    for builder in MODEL_BUILDERS.values():
+        built = builder()
+        graphs.extend(built if isinstance(built, Supernet) else [built])
+    return graphs
+
+
+def _sampled_paths(graph, samples=40):
+    """Distinct paths a request on ``graph`` can sample (plus the extremes)."""
+    rng = random.Random(7)
+    paths = {tuple(graph.worst_case_path()), tuple(graph.best_case_path())}
+    paths.update(tuple(graph.sample_execution_path(rng)) for _ in range(samples))
+    return sorted(paths)
+
+
+class TestPathTails:
+    """ToGo / minimum_to_go tables must equal the per-call sums exactly."""
+
+    @pytest.mark.parametrize("platform_name", all_platform_names())
+    def test_tails_equal_per_call_sums(self, platform_name):
+        graphs = _zoo_graphs()
+        table = CostTable.build(make_platform(platform_name), graphs)
+        reference = table.reference_view()
+        dynamic_paths = 0
+        for graph in graphs:
+            paths = _sampled_paths(graph)
+            if graph.name in ("skipnet", "rapid_rl"):
+                assert len(paths) > 2, graph.name
+                dynamic_paths += len(paths)
+            for path in paths:
+                path = list(path)
+                expected = [
+                    (
+                        table.remaining_average_latency(graph.name, path[k:]).hex(),
+                        table.remaining_best_latency(graph.name, path[k:]).hex(),
+                    )
+                    for k in range(len(path) + 1)
+                ]
+                # Twice: the first lookup fills the entry, the second reads it.
+                for _ in range(2):
+                    for k, (average, best) in enumerate(expected):
+                        got = table.average_to_go(graph.name, path, k).hex()
+                        assert got == average, (graph.name, path, k)
+                        assert table.best_to_go(graph.name, path, k).hex() == best
+                        assert reference.average_to_go(graph.name, path, k).hex() == average
+                        assert reference.best_to_go(graph.name, path, k).hex() == best
+                tails = table._path_tails(graph.name, path)
+                assert [(a.hex(), b.hex()) for a, b in zip(*tails)] == expected
+        assert dynamic_paths > 0
+
+    def test_tables_are_shared_per_model_and_path(self, tiny_platform, tiny_models):
+        table = CostTable.build(tiny_platform, tiny_models.values())
+        path = [0, 2]
+        first = table._path_tails("gamma", path)
+        value = table.average_to_go("gamma", path, 1)
+        assert table._path_tails("gamma", list(path)) is first
+        assert first[0][1] == value
+        assert first[0][0] != first[0][0]  # never looked up: still unset
+        assert table._path_tails("gamma", [0, 1, 2]) is not first
+        assert table._path_tails("alpha", path) is not first

@@ -30,6 +30,12 @@ class TestRequestLifecycle:
         assert request.next_layer() == 0
         assert not request.started
 
+    def test_terminal_states(self):
+        assert {state for state in RequestState if state.is_terminal} == {
+            RequestState.COMPLETED, RequestState.DROPPED,
+            RequestState.EXPIRED, RequestState.FAILED,
+        }
+
     def test_record_layers_advances(self, tiny_scenario):
         request = _request(tiny_scenario)
         assert request.previous_accelerator() is None
@@ -335,6 +341,173 @@ class TestExecutor:
         assert request.energy_mj == pytest.approx(record.slot.energy_mj)
         assert request.worst_case_energy_mj >= request.energy_mj - 1e-9
         assert executor.total_energy_mj == pytest.approx(record.slot.energy_mj)
+
+
+def _bits(value):
+    """Exact identity of a float (or the value itself for non-floats)."""
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestExecutorFastMatchesReference:
+    """``fast=True`` and ``fast=False`` executors agree bit for bit."""
+
+    MODELS = ("skipnet", "rapid_rl", "kws_res8", "sosnet", "gnmt")
+
+    @pytest.fixture(scope="class")
+    def zoo_table(self, het_4k_platform):
+        from repro.hardware import CostTable
+        from repro.models.zoo import build_model
+
+        graphs = [build_model(name) for name in self.MODELS]
+        return CostTable.build(het_4k_platform, graphs), graphs
+
+    @staticmethod
+    def _request_pair(graph, seed):
+        return tuple(
+            InferenceRequest(
+                task_name=graph.name, model=graph, frame_id=seed, arrival_ms=0.0,
+                deadline_ms=1e9, rng=random.Random(seed),
+            )
+            for _ in range(2)
+        )
+
+    @staticmethod
+    def _executor_state(executor, now):
+        return (
+            _bits(executor.total_energy_mj), _bits(executor.total_busy_pe_ms),
+            executor.layers_executed, executor.context_switches, executor.state_version,
+            executor.resident_model, _bits(float(executor.allocated_fraction)),
+            _bits(executor.free_fraction), _bits(executor.busy_until_ms(now)),
+        )
+
+    @staticmethod
+    def _request_state(request):
+        return (
+            request.state, request.next_position, request.last_acc_id,
+            _bits(request.energy_mj), _bits(request.worst_case_energy_mj), request.retries,
+        )
+
+    @staticmethod
+    def _slot_fields(slot):
+        return (
+            slot.request.frame_id, list(slot.layer_indices), _bits(slot.pe_fraction),
+            _bits(slot.start_ms), _bits(slot.end_ms), _bits(slot.energy_mj),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_randomized_sequence(self, zoo_table, het_4k_platform, seed):
+        table, graphs = zoo_table
+        rng = random.Random(seed)
+        acc = het_4k_platform[seed % het_4k_platform.num_accelerators]
+        fast = AcceleratorExecutor(acc, table, fast=True)
+        ref = AcceleratorExecutor(acc, table.reference_view(), fast=False)
+        pairs = [self._request_pair(rng.choice(graphs), index) for index in range(12)]
+        slot_map = {}  # fast slot id -> reference slot id
+        now = 0.0
+        seen = set()
+        for _ in range(400):
+            op = rng.random()
+            if op < 0.55:
+                live = [pair for pair in pairs if pair[0].state is RequestState.PENDING]
+                if not live:
+                    pairs.append(self._request_pair(rng.choice(graphs), len(pairs)))
+                    continue
+                req_f, req_r = rng.choice(live)
+                remaining = req_f.remaining_layers
+                count = rng.choice([1, 1, 2, 3, remaining, len(req_f.path)])
+                fraction = rng.choice([1.0, 0.5])
+                if fast.can_accept(fraction):
+                    rec_f = fast.start(Assignment(req_f, acc.acc_id, count, fraction), now)
+                    rec_r = ref.start(Assignment(req_r, acc.acc_id, count, fraction), now)
+                    assert self._slot_fields(rec_f.slot) == self._slot_fields(rec_r.slot)
+                    assert (
+                        rec_f.context_switch, _bits(rec_f.context_switch_latency_ms),
+                        _bits(rec_f.context_switch_energy_mj),
+                    ) == (
+                        rec_r.context_switch, _bits(rec_r.context_switch_latency_ms),
+                        _bits(rec_r.context_switch_energy_mj),
+                    )
+                    slot_map[rec_f.slot.slot_id] = rec_r.slot.slot_id
+                    seen.add("switch" if rec_f.context_switch else "resident")
+                    seen.add(f"pe={fraction}")
+                    if count > 1:
+                        seen.add("block")
+                    if req_f.next_position == 0 and count >= len(req_f.path):
+                        seen.add("whole_path")
+                else:
+                    for executor, request in ((fast, req_f), (ref, req_r)):
+                        with pytest.raises(ValueError):
+                            executor.start(Assignment(request, acc.acc_id, count, fraction), now)
+                    seen.add("over_capacity")
+            elif op < 0.85:
+                if not fast.slots:
+                    continue
+                slot_id = rng.choice(sorted(fast.slots))
+                now = max(now, fast.slots[slot_id].end_ms)
+                done_f = fast.complete(slot_id, now)
+                done_r = ref.complete(slot_map.pop(slot_id), now)
+                assert self._slot_fields(done_f) == self._slot_fields(done_r)
+            elif op < 0.91:
+                capacity = rng.choice([1.0, 0.5, 0.0])
+                fast.set_capacity(capacity)
+                ref.set_capacity(capacity)
+                seen.add(f"capacity={capacity}")
+            elif op < 0.97:
+                factor = rng.choice([1.0, 1.5, 2.0])
+                fast.set_latency_factor(factor)
+                ref.set_latency_factor(factor)
+                seen.add(f"factor={factor}")
+            else:
+                now += rng.random()
+                victims_f = fast.abort_all(now)
+                victims_r = ref.abort_all(now)
+                assert [self._slot_fields(s) for s in victims_f] == [
+                    self._slot_fields(s) for s in victims_r
+                ]
+                for victim_f, victim_r in zip(victims_f, victims_r):
+                    victim_f.request.mark_aborted(now)
+                    victim_r.request.mark_aborted(now)
+                slot_map.clear()
+                if victims_f:
+                    seen.add("abort")
+            assert self._executor_state(fast, now) == self._executor_state(ref, now)
+            for req_f, req_r in pairs:
+                assert self._request_state(req_f) == self._request_state(req_r)
+        assert {
+            "switch", "resident", "pe=0.5", "block", "whole_path", "over_capacity",
+            "capacity=0.5", "factor=2.0", "abort",
+        } <= seen, seen
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_invalid_starts_raise(self, zoo_table, het_4k_platform, fast):
+        table, graphs = zoo_table
+        if not fast:
+            table = table.reference_view()
+        acc = het_4k_platform[0]
+        executor = AcceleratorExecutor(acc, table, fast=fast)
+        graph = graphs[-1]
+        busy = InferenceRequest("t", graph, 0, 0.0, 1e9, rng=random.Random(0))
+        executor.start(Assignment(busy, acc.acc_id, 1, 0.5), 0.0)
+        over = InferenceRequest("t", graph, 1, 0.0, 1e9, rng=random.Random(1))
+        with pytest.raises(ValueError, match="free"):
+            executor.start(Assignment(over, acc.acc_id, 1, 1.0), 0.0)
+
+        terminal = InferenceRequest("t", graph, 2, 0.0, 1e9, rng=random.Random(2))
+        terminal.mark_dropped(0.0)
+        before = (len(executor.slots), executor.state_version, executor.layers_executed)
+        with pytest.raises(ValueError, match="terminal"):
+            executor.start(Assignment(terminal, acc.acc_id, 1, 0.5), 0.0)
+        if fast:  # every check runs before any executor state moves
+            assert (len(executor.slots), executor.state_version,
+                    executor.layers_executed) == before
+        assert terminal.state is RequestState.DROPPED
+
+        exhausted = InferenceRequest("t", graph, 3, 0.0, 1e9, rng=random.Random(3))
+        exhausted.mark_running()
+        exhausted.record_layers(list(exhausted.path), acc.acc_id, 1.0)
+        executor.abort_all(1.0)
+        with pytest.raises(ValueError, match="no remaining layers"):
+            executor.start(Assignment(exhausted, acc.acc_id, 1, 1.0), 1.0)
 
 
 class TestAssignmentValidation:
